@@ -7,16 +7,16 @@
 // queue), each serviced request costs a fixed virtual 5ms, and every request
 // carries a 12ms deadline. An independent arithmetic oracle replays the same
 // trace — the server's accepted/rejected/timed-out counts must match it
-// EXACTLY, and every served explanation must be bitwise-equal to batch
-// eval::ExplainAll over the same tasks. The explainers really run (only time
+// EXACTLY, and every served explanation must be bitwise-equal to explaining
+// the same task alone with Explain. The explainers really run (only time
 // is virtual), so the phase also asserts the warm-pool steady state: zero
 // pool misses after the warmup window.
 //
 // Phase B — throughput (real clock). A fresh server with worker threads and
 // coalescing enabled serves the same request population; p50/p95/p99 latency
 // come from the serve.latency_seconds obs histogram, and serve_speedup
-// compares against the sequential pre-serving path (eval::ExplainAll with
-// mega-batching disabled, timed on the same tasks).
+// compares against the sequential pre-serving path (one Explain call per
+// task, timed on the same tasks).
 //
 // Flags: --quick (reduced trace, the tier-1 fixture mode), --requests N,
 // --epochs N, --workers N, --queue-depth N, --seed S, --threads N,
@@ -37,7 +37,6 @@
 
 #include "bench_common.h"
 #include "eval/runner.h"
-#include "explain/batch_runner.h"
 #include "explain/explainer.h"
 #include "gnn/model.h"
 #include "graph/graph.h"
@@ -216,8 +215,8 @@ int Run(int argc, char** argv) {
   CHECK(registry.Register("m2", MakeModel(seed + 2)).ok());
   const std::vector<TraceRequest> trace = MakeTrace(num_requests, seed + 3);
 
-  // --- Reference + legacy timing: sequential eval::ExplainAll with
-  // mega-batching off — the pre-serving code path over the same tasks.
+  // --- Reference + legacy timing: one Explain call per task in trace order —
+  // the pre-serving code path over the same tasks.
   std::vector<explain::ExplanationTask> tasks;
   tasks.reserve(trace.size());
   for (const TraceRequest& request : trace) {
@@ -230,13 +229,13 @@ int Run(int argc, char** argv) {
   }
   std::unique_ptr<explain::Explainer> reference_explainer =
       eval::MakeExplainer("Revelio", ExplainerConfig(seed, epochs));
-  const bool megabatch_was_enabled = explain::MegaBatchEnabled();
-  explain::SetMegaBatchEnabled(false);
   util::Timer legacy_timer;
-  const std::vector<explain::Explanation> reference =
-      eval::ExplainAll(reference_explainer.get(), tasks, explain::Objective::kFactual);
+  std::vector<explain::Explanation> reference;
+  reference.reserve(tasks.size());
+  for (const explain::ExplanationTask& task : tasks) {
+    reference.push_back(reference_explainer->Explain(task, explain::Objective::kFactual));
+  }
   const double legacy_seconds = legacy_timer.ElapsedSeconds();
-  explain::SetMegaBatchEnabled(megabatch_was_enabled);
 
   // --- Phase A: virtual-time admission replay against the oracle.
   const AdmissionOracle oracle = ComputeOracle(trace, queue_depth);

@@ -195,7 +195,6 @@ int main(int argc, char** argv) {
       bool bitwise_equal = true;
     };
     std::vector<SweepRow> rows;
-    const bool megabatch_was_enabled = explain::MegaBatchEnabled();
     const int megabatch_old_size = explain::MegaBatchSize();
     // Pin execution plans off: replay would accelerate the sequential
     // baseline far more than the fused groups (small per-instance tensors are
@@ -221,9 +220,20 @@ int main(int argc, char** argv) {
         return std::pair<std::vector<explain::Explanation>, double>(std::move(explanations),
                                                                     timer.ElapsedSeconds());
       };
-      explain::SetMegaBatchEnabled(false);
-      (void)run();  // warm model/graph caches and the tensor pool
-      auto [sequential, sequential_seconds] = run();
+      // The baseline explains one task at a time: each Explain call is a
+      // group of one.
+      auto run_sequential = [&] {
+        util::Timer timer;
+        std::vector<explain::Explanation> explanations;
+        explanations.reserve(tasks.size());
+        for (const explain::ExplanationTask& task : tasks) {
+          explanations.push_back(explainer->Explain(task, explain::Objective::kFactual));
+        }
+        return std::pair<std::vector<explain::Explanation>, double>(std::move(explanations),
+                                                                    timer.ElapsedSeconds());
+      };
+      (void)run_sequential();  // warm model/graph caches and the tensor pool
+      auto [sequential, sequential_seconds] = run_sequential();
       SweepRow baseline;
       baseline.dataset = scope.datasets[d];
       baseline.instances = count;
@@ -235,7 +245,6 @@ int main(int argc, char** argv) {
                   baseline.explanations_per_sec);
       rows.push_back(baseline);
 
-      explain::SetMegaBatchEnabled(true);
       for (const int batch_size : {1, 2, 4, 8, 16, 32}) {
         if (batch_size > count && batch_size != 32) continue;
         explain::SetMegaBatchSize(batch_size);
@@ -262,7 +271,6 @@ int main(int argc, char** argv) {
         rows.push_back(std::move(row));
       }
     }
-    explain::SetMegaBatchEnabled(megabatch_was_enabled);
     explain::SetMegaBatchSize(megabatch_old_size);
     plan::SetExecPlanEnabled(batch_sweep_plans);
     bench::WriteBenchJson(batch_sweep_out, "megabatch_sweep", [&](obs::JsonWriter* w) {

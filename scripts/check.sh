@@ -2,7 +2,8 @@
 # Full verification ladder: tier-1 -> property suites -> ASan -> UBSan -> TSan.
 # The property stage includes the fused-SpMM equivalence suite
 # (spmm_equivalence_test), the mega-batch equivalence suite
-# (megabatch_equivalence_test), and the plan replay harness
+# (megabatch_equivalence_test, which diffs the mask driver against the
+# reference learners), and the plan replay harness
 # (plan_equivalence_test); the TSan pass runs each as its own named
 # stage so a data race in the fused aggregation path, the shared batched
 # backward, or the level-parallel plan executor is attributed directly. The
@@ -85,11 +86,14 @@ if [[ "${FAST}" -eq 0 ]]; then
   # kernel reading an "uninitialized" pooled output trips the bitwise check
   # while ASan watches the allocator itself.
   run_stage "pool"        env REVELIO_POISON_POOL=1 ctest --preset asan -R pool_equivalence_test
-  # Plan replay again under ASan with NaN-poisoned recycled buffers: replay
-  # writes every arena slot in place, so a step that skips (or under-writes)
-  # an output surfaces as a NaN in the bitwise comparison while ASan watches
-  # the arena's bounds.
-  run_stage "plan"        env REVELIO_POISON_POOL=1 ctest --preset asan -R "plan_equivalence_test|plan_test"
+  # Plan replay and the mask driver again under ASan with NaN-poisoned
+  # recycled buffers: replay writes every pinned output in place, so a step
+  # that skips (or under-writes) an output surfaces as a NaN in the bitwise
+  # comparison while ASan watches the buffers' bounds. The driver is the only
+  # epoch loop, so a mask row left unwritten in a group of one shows up as a
+  # NaN in megabatch_equivalence_test; edge_cases_test covers its
+  # finite-output check on hostile features.
+  run_stage "plan"        env REVELIO_POISON_POOL=1 ctest --preset asan -R "plan_equivalence_test|plan_test|megabatch_equivalence_test|edge_cases_test"
   # SIMD + bf16 equivalence under ASan with NaN-poisoned recycled buffers: the
   # vector sweeps must never read past n (the scalar tail owns the remainder),
   # and the bf16 pack cache must repack rather than widen stale poisoned bits.
@@ -109,9 +113,9 @@ if [[ "${FAST}" -eq 0 ]]; then
   # trace-replay fixture all hammer the admission queue with concurrent
   # submitters, worker pop/coalesce loops, and mid-stream shutdown.
   run_stage "tsan-serve"  ctest --preset tsan -L serve
-  # Plan replay under TSan: level-parallel step execution shares the arena
-  # across pool workers, and re-record after invalidation races the global
-  # plan version bump; both must stay clean across thread counts.
+  # Plan replay under TSan: level-parallel step execution shares the pinned
+  # buffers across pool workers, and re-record after invalidation races the
+  # global plan version bump; both must stay clean across thread counts.
   run_stage "tsan-plan"   ctest --preset tsan -R "plan_equivalence_test|plan_test"
   run_stage "tsan"        ctest --preset tsan -LE serve -E "spmm_equivalence_test|megabatch_equivalence_test|plan_equivalence_test|plan_test"
 fi

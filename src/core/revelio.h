@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "explain/batch_runner.h"
 #include "explain/explainer.h"
 #include "flow/flow_scores.h"
 #include "flow/message_flow.h"
@@ -56,22 +57,26 @@ class RevelioExplainer : public explain::Explainer {
 
   // Full flow-level result, used by the qualitative studies (Tables VI/VII).
   struct FlowExplanation {
+    // Ok for a produced explanation; otherwise the task's rejection or a
+    // numeric fault, and the score vectors are empty.
+    util::Status status = util::Status::Ok();
     flow::FlowSet flows;
     std::vector<double> flow_scores;  // omega[F], negated for counterfactual
     std::vector<std::vector<double>> layer_edge_masks;  // sigmoid outputs, [L][E_layer]
     std::vector<double> edge_scores;  // per base edge
     std::vector<double> layer_weights;  // learned w (length L)
   };
+  // A single explanation is a group of one: ExplainFlowsBatch({&task})[0].
   FlowExplanation ExplainFlows(const explain::ExplanationTask& task,
                                explain::Objective objective);
 
-  // Mega-batched variant over a group of tasks sharing one (frozen) model:
-  // the group's computation subgraphs fuse into a block-diagonal mega-graph
-  // and train with one shared forward/backward per Adam step. Per-instance
-  // masks stay independent variables, the batched loss is the sum of the
-  // per-instance losses, and every result is bitwise-equal to ExplainFlows
-  // on the same task (see explain/batch_runner.h). Groups the plan builder
-  // rejects fall back to the sequential loop internally.
+  // A group of tasks sharing one (frozen) model: the group's computation
+  // subgraphs fuse into a block-diagonal mega-graph and train on the mask
+  // driver (explain/mask_driver.h) with one shared forward/backward per Adam
+  // step. Per-instance masks stay independent variables, the batched loss is
+  // the sum of the per-instance losses, and every result is bitwise-equal to
+  // explaining the task alone. A group BuildMegaBatchPlan rejects runs each
+  // task as a group of one.
   std::vector<FlowExplanation> ExplainFlowsBatch(
       const std::vector<const explain::ExplanationTask*>& tasks,
       explain::Objective objective);
@@ -89,6 +94,10 @@ class RevelioExplainer : public explain::Explainer {
       explain::Objective objective) override;
 
  private:
+  std::vector<FlowExplanation> ExplainGroup(
+      const std::vector<const explain::ExplanationTask*>& tasks,
+      const explain::MegaBatchPlan& plan, explain::Objective objective);
+
   RevelioOptions options_;
 };
 

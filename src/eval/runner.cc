@@ -273,12 +273,12 @@ std::vector<explain::Explanation> ExplainAllValidated(explain::Explainer* explai
   std::vector<explain::Explanation> explanations(tasks.size());
   explain::Explanation* out = explanations.data();
   const ExplanationTask* in = tasks.data();
-  // Mega-batch dispatch (REVELIO_MEGABATCH, default on): consecutive tasks
-  // sharing one model fuse into groups of up to REVELIO_MEGABATCH_SIZE and
-  // train with a single forward/backward per step. Parallelism moves from
-  // instance level to kernel level inside the fused step; results stay
-  // bitwise-equal to the sequential paths below.
-  if (explain::MegaBatchEnabled() && explainer->supports_megabatch() && !tasks.empty()) {
+  // Mega-batch dispatch for the mask learners: consecutive tasks sharing one
+  // model fuse into groups of up to REVELIO_MEGABATCH_SIZE and train with a
+  // single forward/backward per step. Parallelism moves from instance level
+  // to kernel level inside the fused step; results stay bitwise-equal to
+  // explaining each task alone.
+  if (explainer->supports_megabatch()) {
     const size_t group_cap = static_cast<size_t>(explain::MegaBatchSize());
     size_t begin = 0;
     while (begin < tasks.size()) {

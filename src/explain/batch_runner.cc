@@ -4,21 +4,11 @@
 #include <cstdlib>
 #include <string>
 
+#include "graph/batch.h"
+
 namespace revelio::explain {
 
 namespace {
-
-bool MegaBatchDefault() {
-  const char* env = std::getenv("REVELIO_MEGABATCH");
-  if (env == nullptr) return true;
-  const std::string value(env);
-  return !(value == "0" || value == "false" || value == "off");
-}
-
-std::atomic<bool>& MegaBatchFlag() {
-  static std::atomic<bool> flag(MegaBatchDefault());
-  return flag;
-}
 
 int MegaBatchSizeDefault() {
   constexpr int kDefault = 32;
@@ -34,12 +24,6 @@ std::atomic<int>& MegaBatchSizeFlag() {
 }
 
 }  // namespace
-
-bool MegaBatchEnabled() { return MegaBatchFlag().load(std::memory_order_relaxed); }
-
-void SetMegaBatchEnabled(bool enabled) {
-  MegaBatchFlag().store(enabled, std::memory_order_relaxed);
-}
 
 int MegaBatchSize() { return MegaBatchSizeFlag().load(std::memory_order_relaxed); }
 
@@ -68,22 +52,32 @@ util::StatusOr<MegaBatchPlan> BuildMegaBatchPlan(
   plan.num_instances = static_cast<int>(tasks.size());
   plan.node_task = tasks[0]->is_node_task();
 
-  // Route the instance graphs through graph::TryMakeBatch (the single source
-  // of truth for block-diagonal merging). The temporary GraphInstances carry
-  // the explained class as their one graph label; the label plays no role in
-  // the mask optimization.
-  std::vector<graph::GraphInstance> staging(tasks.size());
-  std::vector<const graph::GraphInstance*> pointers(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    staging[i].graph = *tasks[i]->graph;
-    staging[i].features = tasks[i]->features;
-    staging[i].labels = {tasks[i]->target_class};
-    pointers[i] = &staging[i];
+  if (tasks.size() == 1) {
+    // A group of one is its own mega-graph: alias it rather than copying.
+    plan.lone_graph = tasks[0]->graph;
+    plan.features = tasks[0]->features;
+    plan.node_to_graph.assign(tasks[0]->graph->num_nodes(), 0);
+  } else {
+    // Route the instance graphs through graph::TryMakeBatch (the single
+    // source of truth for block-diagonal merging). The temporary
+    // GraphInstances carry the explained class as their one graph label; the
+    // label plays no role in the mask optimization.
+    std::vector<graph::GraphInstance> staging(tasks.size());
+    std::vector<const graph::GraphInstance*> pointers(tasks.size());
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      staging[i].graph = *tasks[i]->graph;
+      staging[i].features = tasks[i]->features;
+      staging[i].labels = {tasks[i]->target_class};
+      pointers[i] = &staging[i];
+    }
+    util::StatusOr<graph::GraphBatch> batch_or = graph::TryMakeBatch(pointers);
+    if (!batch_or.ok()) return batch_or.status();
+    graph::GraphBatch merged = std::move(batch_or).value();
+    plan.merged_graph = std::move(merged.graph);
+    plan.features = std::move(merged.features);
+    plan.node_to_graph = std::move(merged.node_to_graph);
   }
-  util::StatusOr<graph::GraphBatch> batch_or = graph::TryMakeBatch(pointers);
-  if (!batch_or.ok()) return batch_or.status();
-  plan.batch = std::move(batch_or).value();
-  plan.mega_edges = gnn::BuildLayerEdges(plan.batch.graph);
+  plan.mega_edges = gnn::BuildLayerEdges(plan.graph());
 
   const int num_instances = plan.num_instances;
   plan.node_offset.assign(num_instances + 1, 0);

@@ -1,6 +1,7 @@
 #include "explain/explainer.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "nn/loss.h"
 #include "obs/audit.h"
@@ -137,6 +138,14 @@ util::Status ValidateExplanationTask(const ExplanationTask& task) {
     return util::Status::InvalidArgument(
         "feature dim " + std::to_string(task.features.cols()) + " != model input_dim " +
         std::to_string(config.input_dim));
+  }
+  const std::vector<float>& values = task.features.values();
+  for (size_t k = 0; k < values.size(); ++k) {
+    if (!std::isfinite(values[k])) {
+      return util::Status::InvalidArgument(
+          "feature (" + std::to_string(k / config.input_dim) + ", " +
+          std::to_string(k % config.input_dim) + ") is not finite");
+    }
   }
   const bool node_task = config.task == gnn::TaskType::kNodeClassification;
   if (node_task != task.is_node_task()) {

@@ -80,10 +80,11 @@ class Explainer {
   // harness falls back to the serial per-instance loop.
   virtual bool thread_safe_explain() const { return true; }
 
-  // True when the method can train a whole group of tasks as one mega-batched
-  // optimization over a block-diagonal mega-graph (explain/batch_runner.h).
-  // Methods that return true must override ExplainBatchImpl and guarantee the
-  // batched result is bitwise-equal to calling Explain per task.
+  // True when the method trains a whole group of tasks as one mega-batched
+  // optimization over a block-diagonal mega-graph (explain/mask_driver.h);
+  // eval::ExplainAll then groups its tasks. Methods that return true must
+  // override ExplainBatchImpl and guarantee the batched result is
+  // bitwise-equal to calling Explain per task.
   virtual bool supports_megabatch() const { return false; }
 
   // Shared entry point: opens the "explain.<name()>" telemetry span and
@@ -108,9 +109,10 @@ class Explainer {
 
 // Validates a task before it reaches an explainer: null model/graph, an empty
 // graph, a feature matrix whose shape disagrees with the graph or the model's
-// input_dim, or an out-of-range target node/class all yield kInvalidArgument
-// instead of a CHECK-abort deep inside the method. Degenerate-but-valid tasks
-// (single node, zero edges) pass.
+// input_dim, a NaN/Inf feature, or an out-of-range target node/class all
+// yield kInvalidArgument instead of a CHECK-abort (or a NaN explanation) deep
+// inside the method. Degenerate-but-valid tasks (single node, zero edges)
+// pass.
 util::Status ValidateExplanationTask(const ExplanationTask& task);
 
 // Makes a differentiable clone of the task's feature matrix (leaf).

@@ -7,6 +7,7 @@
 // For the counterfactual study the mask is trained with the paper's Eq. (2)
 // objective and the importance of an edge is 1 - mask (removed = necessary).
 
+#include "explain/batch_runner.h"
 #include "explain/explainer.h"
 
 namespace revelio::explain {
@@ -27,16 +28,19 @@ class GnnExplainerMethod : public Explainer {
   bool supports_counterfactual() const override { return true; }
   bool supports_megabatch() const override { return true; }
 
+  // A single explanation is a group of one.
   Explanation ExplainImpl(const ExplanationTask& task, Objective objective) override;
 
-  // Mega-batched path (explain/batch_runner.h): one block-diagonal
-  // forward/backward per Adam step for the whole group, bitwise-equal per
-  // instance to ExplainImpl. Groups the plan builder rejects fall back to
-  // the sequential loop.
+  // Trains the group's masks on the mask driver (explain/mask_driver.h): one
+  // block-diagonal forward/backward per Adam step for the whole group,
+  // bitwise-equal per instance to explaining it alone.
   std::vector<Explanation> ExplainBatchImpl(const std::vector<const ExplanationTask*>& tasks,
                                             Objective objective) override;
 
  private:
+  std::vector<Explanation> ExplainGroup(const std::vector<const ExplanationTask*>& tasks,
+                                        const MegaBatchPlan& plan, Objective objective);
+
   GnnExplainerOptions options_;
 };
 

@@ -220,14 +220,9 @@ void AuditScope::SetInstanceBase(size_t base) {
   t_scope->instance_base_ = base;
 }
 
-void AuditScope::AddPhase(const char* name, double seconds) {
-  if (AuditRecord* record = Current(0)) record->phase_seconds.emplace_back(name, seconds);
-}
-
-void AuditScope::AddPhaseAll(const char* name, double seconds) {
-  if (t_scope == nullptr || !t_scope->active_) return;
-  for (AuditRecord& record : t_scope->records_) {
-    record.phase_seconds.emplace_back(name, seconds);
+void AuditScope::AddPhase(const char* name, double seconds, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    if (AuditRecord* record = Current(i)) record->phase_seconds.emplace_back(name, seconds);
   }
 }
 

@@ -119,18 +119,16 @@ class AuditScope {
   // single-instance optimizer passes nothing.
   static AuditRecord* Current(size_t i = 0);
 
-  // Shifts Current(i) to record(base + i). The sequential fallback loop in
-  // Explainer::ExplainBatchImpl sets this before each per-task ExplainImpl so
-  // single-instance hooks (which always pass i = 0) land on the right record.
+  // Shifts Current(i) to record(base + i). Per-task loops (the sequential
+  // Explainer::ExplainBatchImpl, a rejected mega-batch group running as
+  // groups of one) set this before each task so its hooks land on the right
+  // record.
   static void SetInstanceBase(size_t base);
 
-  // Appends a phase timing to the current instance's record (no-op when
-  // auditing is off). A single-instance optimizer reports its own phases.
-  static void AddPhase(const char* name, double seconds);
-
-  // Appends a phase timing to every record of the scope: a fused mega-batch
-  // step's phases are shared by the whole group.
-  static void AddPhaseAll(const char* name, double seconds);
+  // Appends a phase timing to the records Current(0) .. Current(count - 1)
+  // (no-op when auditing is off): a fused group's phases are shared by its
+  // `count` instances.
+  static void AddPhase(const char* name, double seconds, size_t count = 1);
 
   // Submits every record of this scope to the sink now (called by the
   // Explain wrapper after it finishes stamping totals).

@@ -135,7 +135,6 @@ std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape, bool fuse) {
     plan->levels_[plan->steps_[s].level].push_back(s);
   }
 
-  plan->memory_ = BuildMemoryPlan(*tape);
   return plan;
 }
 

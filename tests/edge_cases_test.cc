@@ -2,8 +2,14 @@
 // tensor ops, degenerate graphs, and graph-task fidelity behavior.
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "core/revelio.h"
 
 #include "eval/metrics.h"
 #include "eval/runner.h"
@@ -11,6 +17,8 @@
 #include "flow/message_flow.h"
 #include "gnn/trainer.h"
 #include "nn/loss.h"
+#include "serve/model_registry.h"
+#include "serve/server.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -212,6 +220,159 @@ TEST(StructuralEdgeCases, ExplainAllSurvivesAnInvalidTaskMidBatch) {
   EXPECT_EQ(batch[0].edge_scores, alone0.edge_scores);
   EXPECT_EQ(batch[2].edge_scores, alone2.edge_scores);
 }
+
+// Hostile feature values. NaN and +Inf fail task validation; 3e38 is finite
+// and passes it, but overflows inside the GNN, so the mask driver's
+// finite-output check must catch it. Either way no explanation may come
+// back OK with a non-finite score.
+class HostileFeatureTest : public ::testing::TestWithParam<float> {
+ protected:
+  static constexpr int kNodes = 8;
+  static constexpr int kFeatureDim = 3;
+
+  HostileFeatureTest() : graph_(kNodes) {
+    for (int v = 0; v < kNodes; ++v) graph_.AddUndirectedEdge(v, (v + 1) % kNodes);
+    gnn::GnnConfig config;
+    config.arch = gnn::GnnArch::kGcn;
+    config.input_dim = kFeatureDim;
+    config.hidden_dim = 4;
+    config.num_classes = 2;
+    config.num_layers = 2;
+    model_ = std::make_unique<gnn::GnnModel>(config);
+    model_->Freeze();
+    runner_config_.explainer_epochs = 5;
+  }
+
+  // Features for task `seed`; when `poisoned`, the target node's row holds
+  // the hostile value.
+  Tensor Features(uint64_t seed, bool poisoned) const {
+    util::Rng rng(seed);
+    Tensor features = Tensor::Uniform(kNodes, kFeatureDim, -1.0f, 1.0f, &rng);
+    if (poisoned) {
+      for (int c = 0; c < kFeatureDim; ++c) (*features.mutable_values())[c] = GetParam();
+    }
+    return features;
+  }
+
+  explain::ExplanationTask Task(const Tensor& features, int target_node) const {
+    explain::ExplanationTask task;
+    task.model = model_.get();
+    task.graph = &graph_;
+    task.features = features;
+    task.target_node = target_node;
+    task.target_class = 0;
+    return task;
+  }
+
+  std::unique_ptr<explain::Explainer> MakeMethod(const std::string& name) const {
+    return eval::MakeExplainer(name, runner_config_);
+  }
+
+  graph::Graph graph_;
+  std::unique_ptr<gnn::GnnModel> model_;
+  eval::RunnerConfig runner_config_;
+};
+
+bool AllFinite(const std::vector<double>& values) {
+  for (double v : values) {
+    if (!std::isfinite(v)) return false;
+  }
+  return true;
+}
+
+TEST_P(HostileFeatureTest, ValidationRejectsOnlyNonFiniteFeatures) {
+  const Tensor features = Features(1, /*poisoned=*/true);
+  const util::Status status = explain::ValidateExplanationTask(Task(features, 0));
+  if (std::isfinite(GetParam())) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  } else {
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_P(HostileFeatureTest, ExplainAndExplainFlowsReturnNonOk) {
+  const Tensor features = Features(1, /*poisoned=*/true);
+  const explain::ExplanationTask task = Task(features, 0);
+  for (const std::string method : {"Revelio", "GNNExplainer"}) {
+    const explain::Explanation result =
+        MakeMethod(method)->Explain(task, explain::Objective::kFactual);
+    EXPECT_FALSE(result.status.ok()) << method;
+    EXPECT_TRUE(result.edge_scores.empty()) << method;
+    EXPECT_TRUE(result.flow_scores.empty()) << method;
+  }
+  core::RevelioOptions options;
+  options.epochs = 5;
+  const core::RevelioExplainer::FlowExplanation flows =
+      core::RevelioExplainer(options).ExplainFlows(task, explain::Objective::kFactual);
+  EXPECT_FALSE(flows.status.ok());
+  EXPECT_TRUE(flows.edge_scores.empty());
+  EXPECT_TRUE(flows.flow_scores.empty());
+}
+
+// A poisoned task inside a 4-task batch fails alone: its batch-mates come
+// back OK with the same bits as their solo runs.
+TEST_P(HostileFeatureTest, PoisonedTaskFailsAloneInBatch) {
+  std::vector<Tensor> features;
+  for (int i = 0; i < 4; ++i) features.push_back(Features(10 + i, /*poisoned=*/i == 2));
+  std::vector<explain::ExplanationTask> tasks;
+  for (int i = 0; i < 4; ++i) tasks.push_back(Task(features[i], i == 2 ? 0 : i + 1));
+  std::vector<const explain::ExplanationTask*> group;
+  for (const auto& task : tasks) group.push_back(&task);
+
+  for (const std::string method : {"Revelio", "GNNExplainer"}) {
+    for (const auto objective :
+         {explain::Objective::kFactual, explain::Objective::kCounterfactual}) {
+      const std::string context = method + " " + explain::ObjectiveName(objective);
+      const std::vector<explain::Explanation> batch =
+          MakeMethod(method)->ExplainBatch(group, objective);
+      ASSERT_EQ(batch.size(), 4u) << context;
+      EXPECT_FALSE(batch[2].status.ok()) << context;
+      EXPECT_TRUE(batch[2].edge_scores.empty()) << context;
+      for (int i : {0, 1, 3}) {
+        ASSERT_TRUE(batch[i].status.ok()) << context << " " << batch[i].status.ToString();
+        EXPECT_TRUE(AllFinite(batch[i].edge_scores)) << context;
+        const explain::Explanation solo = MakeMethod(method)->Explain(tasks[i], objective);
+        EXPECT_EQ(batch[i].edge_scores, solo.edge_scores) << context << " instance " << i;
+        EXPECT_EQ(batch[i].flow_scores, solo.flow_scores) << context << " instance " << i;
+      }
+    }
+  }
+}
+
+// The serving engine refuses non-finite features at admission; a finite but
+// overflowing request is served with a non-OK status, never OK + NaN.
+TEST_P(HostileFeatureTest, ServerNeverAnswersOkWithNonFiniteScores) {
+  serve::ModelRegistry registry;
+  gnn::GnnConfig config = model_->config();
+  auto model = std::make_unique<gnn::GnnModel>(config);
+  ASSERT_TRUE(registry.Register("m", std::move(model)).ok());
+  serve::ServeOptions options;
+  options.explainer_epochs = 5;
+  serve::ExplanationServer server(&registry, options);
+  for (const std::string method : {"Revelio", "GNNExplainer"}) {
+    serve::ExplainRequest request;
+    request.model = "m";
+    request.method = method;
+    request.graph = graph_;
+    request.features = Features(1, /*poisoned=*/true);
+    request.target_node = 0;
+    auto submitted = server.TrySubmit(std::move(request));
+    if (!std::isfinite(GetParam())) {
+      EXPECT_EQ(submitted.status().code(), util::StatusCode::kInvalidArgument) << method;
+      continue;
+    }
+    ASSERT_TRUE(submitted.ok()) << method << " " << submitted.status().ToString();
+    EXPECT_EQ(server.RunOnce().ran, 1) << method;
+    const serve::ExplainResponse response = std::move(submitted).value().get();
+    EXPECT_FALSE(response.status.ok()) << method;
+    EXPECT_TRUE(response.explanation.edge_scores.empty()) << method;
+  }
+  server.Shutdown(serve::ExplanationServer::DrainMode::kDrain);
+}
+
+INSTANTIATE_TEST_SUITE_P(NanInfAndHuge, HostileFeatureTest,
+                         ::testing::Values(std::numeric_limits<float>::quiet_NaN(),
+                                           std::numeric_limits<float>::infinity(), 3e38f));
 
 }  // namespace
 }  // namespace revelio

@@ -3,8 +3,8 @@
 //   plan_bench_check <BENCH_plan.json>
 // Exit 0 when the file carries the shared BENCH_*.json envelope and, for
 // every sweep point, the replayed explanations were bitwise-equal to the
-// eager loop and replays performed ZERO pool acquisitions (the static arena
-// claim: after epoch 0 records, steady state allocates nothing). The plan
+// eager loop and replays performed ZERO pool acquisitions (after epoch 0
+// records, the tape pins every buffer and steady state allocates nothing). The plan
 // path must beat eager by >= 1.15x at the largest epoch count, where the
 // record cost is fully amortized — the committed sweep measures well above
 // that, so the gate has headroom against scheduler noise without ever
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     if (acquires->number_value != 0.0) {
       std::fprintf(stderr,
                    "plan_bench_check: point %zu (epochs=%.0f): %.0f pool acquisitions "
-                   "during replay; the static arena must make steady state "
+                   "during replay; the pinned tape must make steady state "
                    "allocation-free\n",
                    i, epochs->number_value, acquires->number_value);
       return 1;

@@ -1,5 +1,5 @@
 // Unit tests for the recorded-execution-plan subsystem (src/plan): tape
-// recording, plan compilation (fusion, levels, arena), PlanSession replay
+// recording, plan compilation (fusion, levels), PlanSession replay
 // semantics (key mismatch, global version bump, zero pool traffic), and the
 // plan.* observability counters. The whole-loop differential proof lives in
 // tests/prop/plan_equivalence_test.cc; these tests pin the mechanism.
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "plan/arena.h"
 #include "plan/plan.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -78,8 +77,6 @@ TEST_F(PlanTest, RecordScopeCapturesOpsAndSealCompiles) {
   EXPECT_TRUE(plan->steps()[0].fused);
   EXPECT_EQ(plan->steps()[0].op_indices.size(), 3u);
   EXPECT_EQ(plan->fused_ops(), 3);
-  EXPECT_TRUE(plan::ValidateMemoryPlan(plan->memory()));
-  EXPECT_EQ(plan->memory().slots.size(), 4u);
 }
 
 TEST_F(PlanTest, FusionDisabledKeepsOpsAsSingletonSteps) {
@@ -223,30 +220,6 @@ TEST_F(PlanTest, EnvTogglesRoundTrip) {
   EXPECT_FALSE(plan::PlanFuseEnabled());
   plan::SetPlanFuseEnabled(true);
   EXPECT_TRUE(plan::PlanFuseEnabled());
-}
-
-TEST_F(PlanTest, MemoryPlanReusesArenaBytesAcrossDisjointLifetimes) {
-  // a -> b -> c -> d sequential chain: b's slot dies when c is produced, so
-  // first-fit can reuse its bytes; the arena extent must be below the naive
-  // sum of all outputs.
-  util::Rng rng(8);
-  Tensor x = Tensor::Uniform(16, 16, -1.0f, 1.0f, &rng).WithRequiresGrad();
-  plan::PlanSession session;
-  Tensor loss;
-  {
-    plan::PlanSession::RecordScope record(&session);
-    Tensor h = tensor::Tanh(x);
-    for (int i = 0; i < 4; ++i) h = tensor::Tanh(h);
-    loss = tensor::Sum(h);
-  }
-  loss.Backward();
-  session.Seal(loss, plan::PlanKey{{1}});
-  const plan::MemoryPlan& memory = session.plan()->memory();
-  EXPECT_TRUE(plan::ValidateMemoryPlan(memory));
-  size_t naive = 0;
-  for (const plan::ArenaSlot& slot : memory.slots) naive += slot.bytes;
-  EXPECT_LT(memory.total_bytes, naive);
-  EXPECT_GE(memory.total_bytes, memory.peak_live_bytes);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Recorded execution plans (src/plan/): replaying a recorded epoch must be
 // BITWISE-equal to re-running it eagerly — across thread counts, pool on/off,
-// the sequential and mega-batched explainer loops, and fusion on/off. The
+// groups of one and larger mega-batched groups, and fusion on/off. The
 // differential harness trains full mini-GNN explanations both ways and
 // compares every score; the validity suite checks the structural properties
-// every compiled plan must satisfy (topological step order, non-overlapping
-// live arena ranges, key/shape changes forcing a re-record) over randomly
-// generated tensor programs via util::proptest.
+// every compiled plan must satisfy (topological step order, key/shape
+// changes forcing a re-record) over randomly generated tensor programs via
+// util::proptest.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "core/revelio.h"
-#include "explain/batch_runner.h"
 #include "explain/explainer.h"
 #include "explain/gnnexplainer.h"
 #include "flow/flow_scores.h"
@@ -128,8 +127,6 @@ class PlanEquivalenceTest : public ::testing::Test {
     obs::SetEnabled(false);
     util::SetNumThreads(1);
     tensor::SetPoolEnabled(true);
-    explain::SetMegaBatchEnabled(true);
-    explain::SetMegaBatchSize(32);
     plan::SetExecPlanEnabled(true);
     plan::SetPlanFuseEnabled(true);
   }
@@ -141,7 +138,7 @@ class PlanEquivalenceTest : public ::testing::Test {
 
 // The headline contract: for seeded random mini-GNN tasks, the plan-replay
 // loop equals the eager loop bitwise across threads {1, 2, 7, 16}, pool
-// on/off, and the sequential vs mega-batched path.
+// on/off, and groups of one vs one fused group.
 TEST_F(PlanEquivalenceTest, RevelioReplayEqualsEagerAcrossThreadsPoolAndBatch) {
   util::SetNumThreads(1);
   tensor::SetPoolEnabled(true);
@@ -171,20 +168,20 @@ TEST_F(PlanEquivalenceTest, RevelioReplayEqualsEagerAcrossThreadsPoolAndBatch) {
       tensor::SetPoolEnabled(pool_on);
       const std::string context =
           "threads=" + std::to_string(threads) + " pool=" + (pool_on ? "on" : "off");
-      // Megabatch off: the sequential per-task loop, plan-replayed.
+      // Groups of one, plan-replayed.
       for (size_t i = 0; i < tasks.size(); ++i) {
         ExpectFlowExplanationsBitwiseEqual(
             reference[i], explainer.ExplainFlows(tasks[i], explain::Objective::kFactual),
-            context + " megabatch=off instance=" + std::to_string(i));
+            context + " group=1 instance=" + std::to_string(i));
       }
-      // Megabatch on: the fused loop, plan-replayed.
+      // One fused group, plan-replayed.
       const std::vector<core::RevelioExplainer::FlowExplanation> batched =
           explainer.ExplainFlowsBatch(group, explain::Objective::kFactual);
       ASSERT_EQ(batched.size(), group.size());
       for (size_t i = 0; i < batched.size(); ++i) {
         ExpectFlowExplanationsBitwiseEqual(
             reference[i], batched[i],
-            context + " megabatch=on instance=" + std::to_string(i));
+            context + " group=all instance=" + std::to_string(i));
       }
     }
   }
@@ -221,7 +218,7 @@ TEST_F(PlanEquivalenceTest, GnnExplainerReplayEqualsEagerAcrossThreadsPoolAndBat
         EXPECT_EQ(reference[i].edge_scores,
                   explainer.Explain(tasks[i], explain::Objective::kFactual).edge_scores)
             << "threads=" << threads << " pool=" << (pool_on ? "on" : "off")
-            << " megabatch=off instance=" << i;
+            << " group=1 instance=" << i;
       }
       const std::vector<explain::Explanation> batched =
           explainer.ExplainBatch(group, explain::Objective::kFactual);
@@ -229,7 +226,7 @@ TEST_F(PlanEquivalenceTest, GnnExplainerReplayEqualsEagerAcrossThreadsPoolAndBat
       for (size_t i = 0; i < batched.size(); ++i) {
         EXPECT_EQ(reference[i].edge_scores, batched[i].edge_scores)
             << "threads=" << threads << " pool=" << (pool_on ? "on" : "off")
-            << " megabatch=on instance=" << i;
+            << " group=all instance=" << i;
       }
     }
   }
@@ -367,9 +364,8 @@ Tensor RecordProgram(const ProgramSpec& spec, const Tensor& param,
 }
 
 // Structural validity: every compiled plan's steps partition the tape in
-// order, levels are topologically consistent, and the static arena never
-// byte-overlaps two live-overlapping tensors.
-TEST_F(PlanEquivalenceTest, CompiledPlansAreTopologicalWithValidArena) {
+// order and levels are topologically consistent.
+TEST_F(PlanEquivalenceTest, CompiledPlansAreTopological) {
   util::SetNumThreads(1);
   const util::CheckResult result = util::ForAll<ProgramSpec>(
       "plan_validity", ProgramDomain(),
@@ -419,10 +415,6 @@ TEST_F(PlanEquivalenceTest, CompiledPlansAreTopologicalWithValidArena) {
             }
           }
         }
-
-        // Arena: liveness-sound, in-bounds, no live byte overlap.
-        if (!plan::ValidateMemoryPlan(plan->memory())) return "arena validation failed";
-        if (plan->memory().slots.size() != ops.size()) return "arena slot count mismatch";
         return "";
       },
       util::DefaultPropConfig(30, kSeed + 200));

@@ -2,6 +2,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <numeric>
+
+#include "flow/flow_scores.h"
+#include "flow/message_flow.h"
+#include "gnn/layer_edges.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
 
 namespace revelio::proptest {
 namespace {
@@ -506,6 +513,178 @@ double OpCaseMaxGradError(const OpCase& c, uint64_t value_seed, std::string* det
     }
   }
   return max_rel_err;
+}
+
+namespace {
+
+using explain::Objective;
+using LayerScaling = core::RevelioOptions::LayerScaling;
+
+Tensor ReferenceObjective(const Tensor& logits, const explain::ExplanationTask& task,
+                          Objective objective) {
+  return objective == Objective::kFactual
+             ? nn::FactualObjective(logits, task.logit_row(), task.target_class)
+             : nn::CounterfactualObjective(logits, task.logit_row(), task.target_class);
+}
+
+// Eq. 5/7: omega[e^l] = sigmoid(sum_{F through (l, e)} omega[F] * scale(w_l)).
+std::vector<Tensor> ReferenceLayerMasks(const flow::FlowSet& flows, const Tensor& omega_flows,
+                                        const Tensor& layer_weights, LayerScaling scaling) {
+  Tensor scale;
+  if (scaling == LayerScaling::kExp) scale = tensor::Exp(layer_weights);
+  if (scaling == LayerScaling::kSoftplus) scale = tensor::Softplus(layer_weights);
+  std::vector<Tensor> masks;
+  for (int l = 0; l < flows.num_layers(); ++l) {
+    Tensor accumulated =
+        tensor::ScatterAddRows(omega_flows, flows.EdgesAtLayer(l), flows.num_layer_edges());
+    if (scale.defined()) {
+      accumulated = tensor::ScaleByScalarTensor(accumulated, tensor::Select(scale, l, 0));
+    }
+    masks.push_back(tensor::Sigmoid(accumulated));
+  }
+  return masks;
+}
+
+// Eq. 8: mean mask value over the flow-carrying layer edges.
+Tensor ReferenceUsedEdgeMean(const flow::FlowSet& flows, const std::vector<Tensor>& masks) {
+  Tensor total;
+  int count = 0;
+  for (int l = 0; l < flows.num_layers(); ++l) {
+    const std::vector<int> used = flows.UsedEdgesAtLayer(l);
+    if (used.empty()) continue;
+    Tensor layer_sum = tensor::Sum(tensor::GatherRows(masks[l], used));
+    total = total.defined() ? tensor::Add(total, layer_sum) : layer_sum;
+    count += static_cast<int>(used.size());
+  }
+  return tensor::MulScalar(total, 1.0f / static_cast<float>(count));
+}
+
+}  // namespace
+
+core::RevelioExplainer::FlowExplanation ReferenceRevelioFlows(
+    const explain::ExplanationTask& task, Objective objective,
+    const core::RevelioOptions& options) {
+  const gnn::GnnModel& model = *task.model;
+  const int num_layers = model.num_layers();
+  const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
+  core::RevelioExplainer::FlowExplanation result;
+  result.flows = task.is_node_task() ? flow::EnumerateFlowsToTarget(edges, task.target_node,
+                                                                    num_layers, options.max_flows)
+                                     : flow::EnumerateAllFlows(edges, num_layers, options.max_flows);
+
+  // §VI prefilter: one gradient pass at zero masks scores every flow by
+  // |d objective / d M_k|; only the top-k flows are learned.
+  if (options.prefilter_top_k > 0 && options.prefilter_top_k < result.flows.num_flows()) {
+    Tensor probe = Tensor::Zeros(result.flows.num_flows(), 1).WithRequiresGrad();
+    const std::vector<Tensor> masks = ReferenceLayerMasks(
+        result.flows, tensor::Tanh(probe), Tensor::Zeros(num_layers, 1), options.layer_scaling);
+    Tensor logits = model.Run(*task.graph, edges, task.features, masks).logits;
+    ReferenceObjective(logits, task, objective).Backward();
+    std::vector<double> saliency(result.flows.num_flows());
+    for (int k = 0; k < result.flows.num_flows(); ++k) {
+      saliency[k] = std::fabs(probe.GradAt(k, 0));
+    }
+    flow::FlowSet kept(num_layers, edges.num_layer_edges());
+    std::vector<int> path(num_layers);
+    for (int k : flow::TopKFlows(saliency, options.prefilter_top_k)) {
+      for (int l = 0; l < num_layers; ++l) path[l] = result.flows.EdgeAt(l, k);
+      kept.AddFlow(path);
+    }
+    result.flows = std::move(kept);
+  }
+  const flow::FlowSet& flows = result.flows;
+
+  util::Rng rng(options.seed);
+  Tensor flow_params = Tensor::Randn(flows.num_flows(), 1, &rng);
+  for (float& v : *flow_params.mutable_values()) v *= 0.1f;
+  flow_params.WithRequiresGrad();
+  Tensor layer_weights = Tensor::Zeros(num_layers, 1).WithRequiresGrad();
+  nn::Adam optimizer({flow_params, layer_weights}, options.learning_rate);
+  auto omega_of = [&options](const Tensor& params) {
+    return options.use_tanh_flow_masks ? tensor::Tanh(params) : tensor::Sigmoid(params);
+  };
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    optimizer.ZeroGrad();
+    const std::vector<Tensor> masks = ReferenceLayerMasks(flows, omega_of(flow_params),
+                                                          layer_weights, options.layer_scaling);
+    Tensor logits = model.Run(*task.graph, edges, task.features, masks).logits;
+    Tensor loss = ReferenceObjective(logits, task, objective);
+    Tensor regularizer = ReferenceUsedEdgeMean(flows, masks);
+    if (objective == Objective::kCounterfactual) {
+      regularizer = tensor::AddScalar(tensor::Neg(regularizer), 1.0f);  // Eq. 9
+    }
+    loss = tensor::Add(loss, tensor::MulScalar(regularizer, options.alpha));
+    loss.Backward();
+    optimizer.Step();
+  }
+
+  // Readout: counterfactual scores follow §IV-C (-omega[F], 1 - omega[e]).
+  const Tensor omega = omega_of(flow_params);
+  const std::vector<Tensor> masks =
+      ReferenceLayerMasks(flows, omega, layer_weights, options.layer_scaling);
+  const float sign = objective == Objective::kCounterfactual ? -1.0f : 1.0f;
+  for (int k = 0; k < flows.num_flows(); ++k) {
+    result.flow_scores.push_back(sign * omega.At(k, 0));
+  }
+  result.layer_edge_masks.assign(num_layers, std::vector<double>(edges.num_layer_edges()));
+  for (int l = 0; l < num_layers; ++l) {
+    for (int e = 0; e < edges.num_layer_edges(); ++e) {
+      const double value = masks[l].At(e, 0);
+      result.layer_edge_masks[l][e] = objective == Objective::kCounterfactual ? 1.0 - value : value;
+    }
+  }
+  result.edge_scores = flow::LayerEdgeScoresToEdgeScores(flows, edges, result.layer_edge_masks);
+  for (int l = 0; l < num_layers; ++l) result.layer_weights.push_back(layer_weights.At(l, 0));
+  return result;
+}
+
+explain::Explanation ReferenceGnnExplainer(const explain::ExplanationTask& task,
+                                           Objective objective,
+                                           const explain::GnnExplainerOptions& options) {
+  const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
+  const int num_base = edges.num_base_edges;
+  // The base-edge mask expands to the layer edges with self-loops pinned at 1.
+  std::vector<int> base_rows(num_base);
+  std::iota(base_rows.begin(), base_rows.end(), 0);
+  std::vector<float> self_ones(edges.num_layer_edges(), 0.0f);
+  for (int e = num_base; e < edges.num_layer_edges(); ++e) self_ones[e] = 1.0f;
+
+  util::Rng rng(options.seed);
+  Tensor mask_params = Tensor::Randn(num_base, 1, &rng);
+  for (float& v : *mask_params.mutable_values()) v *= 0.1f;
+  mask_params.WithRequiresGrad();
+  nn::Adam optimizer({mask_params}, options.learning_rate);
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    optimizer.ZeroGrad();
+    const Tensor mask = tensor::Sigmoid(mask_params);
+    const Tensor layer_mask =
+        tensor::Add(tensor::ScatterAddRows(mask, base_rows, edges.num_layer_edges()),
+                    Tensor::FromVector(self_ones));
+    const std::vector<Tensor> masks(task.model->num_layers(), layer_mask);
+    Tensor logits = task.model->Run(*task.graph, edges, task.features, masks).logits;
+    // Every (1 - mask) is its own node, as in the mask driver's build_loss, so
+    // gradients reach the mask through the same accumulation chain.
+    Tensor loss = ReferenceObjective(logits, task, objective);
+    Tensor size = objective == Objective::kFactual
+                      ? tensor::Mean(mask)
+                      : tensor::Mean(tensor::AddScalar(tensor::Neg(mask), 1.0f));
+    loss = tensor::Add(loss, tensor::MulScalar(size, options.size_penalty));
+    Tensor entropy = tensor::Neg(
+        tensor::Add(tensor::Mul(mask, tensor::Log(mask)),
+                    tensor::Mul(tensor::AddScalar(tensor::Neg(mask), 1.0f),
+                                tensor::Log(tensor::AddScalar(tensor::Neg(mask), 1.0f)))));
+    loss = tensor::Add(loss, tensor::MulScalar(tensor::Mean(entropy), options.entropy_penalty));
+    loss.Backward();
+    optimizer.Step();
+  }
+
+  explain::Explanation explanation;
+  const Tensor final_mask = tensor::Sigmoid(mask_params);
+  for (int e = 0; e < num_base; ++e) {
+    const double value = final_mask.At(e, 0);
+    explanation.edge_scores.push_back(objective == Objective::kFactual ? value : 1.0 - value);
+  }
+  return explanation;
 }
 
 }  // namespace revelio::proptest

@@ -7,7 +7,9 @@
 //    produce (empty, self-loop-only/edgeless, disconnected, star, dense),
 //  - an op-harness registry with one or more (shape, inputs, forward) cases
 //    per registered tensor op, reused by the gradcheck and the
-//    parallel-vs-serial differential suites.
+//    parallel-vs-serial differential suites,
+//  - the reference mask learners the mask-driver equivalence suites diff
+//    against.
 //
 // Everything is deterministic in the provided seeds; nothing here reads
 // wall-clock or global RNG state.
@@ -19,6 +21,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/revelio.h"
+#include "explain/explainer.h"
+#include "explain/gnnexplainer.h"
 #include "graph/graph.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -235,6 +240,23 @@ std::vector<float> RunOpCaseBitstream(const OpCase& c, uint64_t value_seed);
 // `value_seed` (relative to max(1, |analytic|, |numeric|)). Appends a
 // description of the worst entry to `detail` when non-null.
 double OpCaseMaxGradError(const OpCase& c, uint64_t value_seed, std::string* detail);
+
+// ---------------------------------------------------------------------------
+// Reference mask learners
+// ---------------------------------------------------------------------------
+
+// Plain eager, one-instance versions of the two mask learners: the Revelio
+// Eq. 4-9 step (with the §VI prefilter) and the GNNExplainer step, trained
+// with Adam on the task's own graph. No execution plan, pool scope, audit,
+// spans or batching, and none of the mega-graph index plumbing: the
+// equivalence suites diff the mask driver (explain/mask_driver.h) against
+// these bitwise.
+core::RevelioExplainer::FlowExplanation ReferenceRevelioFlows(
+    const explain::ExplanationTask& task, explain::Objective objective,
+    const core::RevelioOptions& options);
+explain::Explanation ReferenceGnnExplainer(const explain::ExplanationTask& task,
+                                           explain::Objective objective,
+                                           const explain::GnnExplainerOptions& options);
 
 }  // namespace revelio::proptest
 
