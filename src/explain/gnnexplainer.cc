@@ -55,9 +55,25 @@ std::vector<Explanation> GnnExplainerMethod::ExplainBatchImpl(
 std::vector<Explanation> GnnExplainerMethod::ExplainGroup(
     const std::vector<const ExplanationTask*>& tasks, const MegaBatchPlan& plan,
     Objective objective) {
+  // An edgeless graph has no edge mask to learn: its explanation is OK with
+  // no edge scores. A larger group holding one runs each task as its own
+  // group of one (audit hooks shifted to that task's record), so the
+  // batch-mates keep their solo bits.
+  bool has_edgeless = false;
+  for (int i = 0; i < plan.num_instances; ++i) has_edgeless |= plan.instance_base_edges(i) == 0;
+  if (has_edgeless && tasks.size() > 1) {
+    std::vector<Explanation> results;
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      obs::AuditScope::SetInstanceBase(i);
+      results.push_back(std::move(ExplainBatchImpl({tasks[i]}, objective)[0]));
+    }
+    obs::AuditScope::SetInstanceBase(0);
+    return results;
+  }
   for (size_t i = 0; i < tasks.size(); ++i) {
     AppendGnnExplainerAuditConfig(obs::AuditScope::Current(i), options_);
   }
+  if (has_edgeless) return std::vector<Explanation>(1);
   const gnn::GnnModel& model = *tasks[0]->model;
   const int num_layers = model.num_layers();
   const int num_instances = plan.num_instances;
@@ -83,7 +99,6 @@ std::vector<Explanation> GnnExplainerMethod::ExplainGroup(
   std::vector<int> target_classes(num_instances);
   for (int i = 0; i < num_instances; ++i) {
     const int num_base = plan.instance_base_edges(i);
-    CHECK_GT(num_base, 0);
     mask_param.rows.push_back(num_base);
     base_seg.insert(base_seg.end(), num_base, i);
     inv_base[i] = 1.0f / static_cast<float>(num_base);

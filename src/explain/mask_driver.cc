@@ -137,6 +137,9 @@ std::vector<util::Status> RunMaskDriver(const std::vector<const ExplanationTask*
     }
     if (!status[i].ok()) {
       for (std::vector<double>* vector : scores) vector->clear();
+      if (obs::AuditRecord* audit = obs::AuditScope::Current(i)) {
+        audit->numeric_fault = status[i].message();
+      }
     }
   }
   obs::AuditScope::AddPhase("extract", extract_span.ElapsedSeconds(), tasks.size());

@@ -82,6 +82,8 @@ std::string AuditRecordToJson(const AuditRecord& record) {
   AppendDoubleArray(&writer, "loss_curve", record.loss_curve);
   AppendDoubleArray(&writer, "mask_entropy", record.mask_entropy);
   AppendDoubleArray(&writer, "top_scores", record.top_scores);
+  writer.Key("numeric_fault");
+  writer.String(record.numeric_fault);
   writer.Key("pool");
   writer.BeginObject();
   writer.Key("hits");

@@ -55,6 +55,11 @@ struct AuditRecord {
   // scores when the method produces them, base-edge scores otherwise).
   std::vector<double> top_scores;
 
+  // The mask driver's non-OK status message ("numeric fault: ..." when a
+  // loss row or the extracted scores went non-finite; the scores are then
+  // cleared). Empty when the explanation came back OK.
+  std::string numeric_fault;
+
   // Pool delta over the call. For a mega-batched group the delta is
   // group-scoped (the fused step shares one pool), recorded on each record.
   uint64_t pool_hits = 0;

@@ -47,6 +47,25 @@ void ElementwiseFor(int64_t n, const Fn& fn) {
   util::ParallelFor(0, n, kElementwiseGrain, fn);
 }
 
+// b (k x m) transposed into this thread's scratch buffer (m x k). The buffer
+// grows to the largest k * m seen and is never shrunk, so steady-state
+// backward passes (plan replay included) neither allocate nor touch the
+// tensor pool, and concurrent callers each own theirs. Chunks on helper
+// threads only read it while the caller waits inside its ParallelFor; a
+// nested ParallelFor runs serially on its caller, so no kernel reuses the
+// buffer before that ParallelFor returns.
+const float* TransposeToScratch(const float* b, int k, int m) {
+  thread_local std::vector<float> scratch;
+  const size_t size = static_cast<size_t>(k) * m;
+  if (scratch.size() < size) scratch.resize(size);
+  float* bt = scratch.data();
+  for (int kk = 0; kk < k; ++kk) {
+    const float* brow = b + static_cast<size_t>(kk) * m;
+    for (int j = 0; j < m; ++j) bt[static_cast<size_t>(j) * k + kk] = brow[j];
+  }
+  return bt;
+}
+
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -613,30 +632,34 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     const float* g = o->grad.data();
     const int64_t row_flops = int64_t{2} * k * m;
     if (an->requires_grad) {
-      // dA = G * B^T, computed as dot products against rows of B (the
-      // transposed-B fast path: both factors are read with unit stride).
-      // dA rows are independent -> partition over i. The SIMD path reduces
-      // each dot with fixed lane partials: ulp-bounded, not bitwise (the
-      // one such kernel on the MatMul path — see simd.h).
+      // dA = G * B^T. dA rows are independent -> partition over i. The
+      // scalar loop takes dot products against rows of B; the SIMD path
+      // transposes B once, before the split, and runs register tiles whose
+      // lanes reduce exactly like DotF32: ulp-bounded against the scalar
+      // loop, not bitwise (the one such kernel on the MatMul path — see
+      // simd.h).
       an->EnsureGrad();
       float* ga = an->grad.data();
       const float* bv = bn->values.data();
-      util::ParallelFor(0, n, RowGrain(row_flops), [g, ga, bv, k, m](int64_t ib, int64_t ie) {
-        if (simd::Enabled()) {
-          simd::MatMulGradARowsF32(g, bv, ga, ib, ie, k, m);
-          return;
-        }
-        for (int64_t i = ib; i < ie; ++i) {
-          const float* grow = g + static_cast<size_t>(i) * m;
-          float* garow = ga + static_cast<size_t>(i) * k;
-          for (int kk = 0; kk < k; ++kk) {
-            const float* brow = bv + static_cast<size_t>(kk) * m;
-            float acc = 0.0f;
-            for (int j = 0; j < m; ++j) acc += grow[j] * brow[j];
-            garow[kk] += acc;
-          }
-        }
-      });
+      const bool use_simd = simd::Enabled();
+      const float* bt = use_simd ? TransposeToScratch(bv, k, m) : nullptr;
+      util::ParallelFor(0, n, RowGrain(row_flops),
+                        [g, ga, bv, bt, use_simd, k, m](int64_t ib, int64_t ie) {
+                          if (use_simd) {
+                            simd::MatMulGradARowsF32(g, bv, bt, ga, ib, ie, k, m);
+                            return;
+                          }
+                          for (int64_t i = ib; i < ie; ++i) {
+                            const float* grow = g + static_cast<size_t>(i) * m;
+                            float* garow = ga + static_cast<size_t>(i) * k;
+                            for (int kk = 0; kk < k; ++kk) {
+                              const float* brow = bv + static_cast<size_t>(kk) * m;
+                              float acc = 0.0f;
+                              for (int j = 0; j < m; ++j) acc += grow[j] * brow[j];
+                              garow[kk] += acc;
+                            }
+                          }
+                        });
     }
     if (bn->requires_grad) {
       // dB = A^T * G. Partitioned over dB rows (kk); the i loop stays

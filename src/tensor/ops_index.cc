@@ -17,6 +17,11 @@
 // for any thread count). The scan is redundant across chunks, which is the
 // standard trade for deterministic lock-free scatter on CPUs; the grain
 // thresholds keep small tensors on the single-scan serial path.
+//
+// Column vectors (cols == 1: per-edge and per-flow masks) are the hot case
+// of GatherRows and ScatterAddRows. They load, store or add each element
+// inline instead of calling a row kernel per index: the same single float
+// op, so the same bits on the SIMD and scalar paths alike.
 
 namespace revelio::tensor {
 
@@ -59,6 +64,10 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
                           const int src = idx[i];
                           DCHECK(src >= 0 && src < num_src_rows)
                               << "GatherRows index " << src << " out of range";
+                          if (cols == 1) {
+                            ov[i] = av[src];
+                            continue;
+                          }
                           std::copy(av + static_cast<size_t>(src) * cols,
                                     av + static_cast<size_t>(src + 1) * cols,
                                     ov + static_cast<size_t>(i) * cols);
@@ -85,6 +94,10 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
                         for (int64_t i = 0; i < n; ++i) {
                           const int dst = idx[i];
                           if (dst < rb || dst >= re) continue;
+                          if (cols == 1) {
+                            ga[dst] += g[i];
+                            continue;
+                          }
                           const size_t dst_base = static_cast<size_t>(dst) * cols;
                           const size_t src_base = static_cast<size_t>(i) * cols;
                           if (use_simd) {
@@ -126,6 +139,10 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int>& indices, int nu
                           DCHECK(dst >= 0 && dst < num_rows)
                               << "ScatterAddRows index " << dst << " out of range";
                           if (dst < rb || dst >= re) continue;
+                          if (cols == 1) {
+                            ov[dst] += sv[i];
+                            continue;
+                          }
                           const size_t dst_base = static_cast<size_t>(dst) * cols;
                           const size_t src_base = static_cast<size_t>(i) * cols;
                           if (use_simd) {
@@ -154,6 +171,10 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int>& indices, int nu
                       [g, gs, idx, cols](int64_t ib, int64_t ie) {
                         const bool use_simd = simd::Enabled();
                         for (int64_t i = ib; i < ie; ++i) {
+                          if (cols == 1) {
+                            gs[i] += g[idx[i]];
+                            continue;
+                          }
                           const size_t src_base = static_cast<size_t>(idx[i]) * cols;
                           const size_t dst_base = static_cast<size_t>(i) * cols;
                           if (use_simd) {

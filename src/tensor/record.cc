@@ -8,7 +8,7 @@
 namespace revelio::tensor::rec {
 
 namespace detail {
-thread_local OpTape* g_active_tape = nullptr;
+constinit thread_local OpTape* g_active_tape = nullptr;
 }  // namespace detail
 
 using detail::g_active_tape;

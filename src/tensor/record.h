@@ -54,7 +54,11 @@ struct OpTape {
 
 namespace detail {
 // Exposed for the inline readers below; use ActiveTape()/SetActiveTape().
-extern thread_local OpTape* g_active_tape;
+// constinit tells every includer the variable needs no dynamic
+// initialization, so accesses go straight to the TLS slot instead of through
+// the lazily-initializing wrapper function — whose result UBSan flagged as a
+// store through a null pointer.
+extern constinit thread_local OpTape* g_active_tape;
 }  // namespace detail
 
 // The calling thread's active tape (nullptr when not recording). Inline so

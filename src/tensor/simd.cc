@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -401,6 +402,30 @@ void MatMulRowsImpl(const ALoad& a, const BLoad& b, float* o, int64_t ib, int64_
   }
 }
 
+// dA tile: lane c of the result is DotF32(g_row, b[kk + c, :], m) with the
+// very same float sequence. Accumulator l folds g[t*kW + l] * bt[t*kW + l, :]
+// over t ascending, so its lane c is DotF32's lane-l partial for column
+// kk + c; the accumulators are then summed left to right and the m % kW tail
+// rows of bt are added serially. No zero-skip: 0 * Inf must stay NaN. The
+// fold expressions unroll over the lane index at compile time, keeping every
+// accumulator in its own register (a runtime-indexed loop over the array
+// spills them).
+using LaneIndices = std::make_index_sequence<kW>;
+
+template <size_t... L>
+VecF32 GradATile(const float* grow, const float* bt, int k, int m, std::index_sequence<L...>) {
+  VecF32 acc[kW] = {(static_cast<void>(L), VecF32::Zero())...};
+  const auto bt_row = [bt, k](int j) { return VecF32::Load(bt + static_cast<size_t>(j) * k); };
+  const int full = m - m % kW;
+  for (int t = 0; t < full; t += kW) {
+    ((acc[L] = acc[L] + VecF32::Broadcast(grow[t + L]) * bt_row(t + L)), ...);
+  }
+  VecF32 r = acc[0];
+  ((r = L == 0 ? r : r + acc[L]), ...);
+  for (int j = full; j < m; ++j) r = r + VecF32::Broadcast(grow[j]) * bt_row(j);
+  return r;
+}
+
 }  // namespace
 
 void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
@@ -408,12 +433,16 @@ void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t
   MatMulRowsImpl(LoadF32{a}, LoadF32{b}, o, ib, ie, k, m);
 }
 
-void MatMulGradARowsF32(const float* g, const float* b, float* ga, int64_t ib, int64_t ie, int k,
-                        int m) {
+void MatMulGradARowsF32(const float* g, const float* b, const float* bt, float* ga, int64_t ib,
+                        int64_t ie, int k, int m) {
+  const int tiled = k - k % kW;
   for (int64_t i = ib; i < ie; ++i) {
     const float* grow = g + static_cast<size_t>(i) * m;
     float* garow = ga + static_cast<size_t>(i) * k;
-    for (int kk = 0; kk < k; ++kk) {
+    for (int kk = 0; kk < tiled; kk += kW) {
+      (VecF32::Load(garow + kk) + GradATile(grow, bt + kk, k, m, LaneIndices{})).Store(garow + kk);
+    }
+    for (int kk = tiled; kk < k; ++kk) {
       garow[kk] += DotF32(grow, b + static_cast<size_t>(kk) * m, m);
     }
   }

@@ -24,13 +24,19 @@
 //    simd.cc is never built with -mfma), and the scalar tail runs the
 //    identical expression. Branchy updates (Relu backward) use blends that
 //    preserve the unmodified accumulator bits exactly.
-//  - DotF32 (used by MatMul dA, SpmmBackwardW and RowScale's dscale) is a
-//    REDUCTION: it keeps kLanes fixed partial sums and reduces them in a
-//    fixed left-to-right order. The result is deterministic at every thread
+//  - DotF32 (used by SpmmBackwardW and RowScale's dscale) is a REDUCTION:
+//    it keeps kLanes fixed partial sums and reduces them in a fixed
+//    left-to-right order. The result is deterministic at every thread
 //    count, but only ulp-bounded against the serial accumulation order —
-//    the "ulp-bounded" tolerance class of util::proptest. All three dot
-//    call sites share this one implementation, so identities that compare
-//    them against each other (fused SpMM vs the legacy chain) stay bitwise.
+//    the "ulp-bounded" tolerance class of util::proptest. Both dot call
+//    sites share this one implementation, so identities that compare them
+//    against each other (fused SpMM vs the legacy chain) stay bitwise.
+//  - MatMul dA is in the DotF32 class too, computed as lane-partial register
+//    tiles over a transposed B: kLanes output columns at a time, each lane
+//    issuing exactly DotF32's float sequence (lane partials, left-to-right
+//    lane sum, serial tail), so every element is BITWISE-equal to
+//    DotF32(g_row, b_row), as tests/prop/simd_equivalence_test.cc checks
+//    against a per-element DotF32 loop.
 //
 // Tail handling: every kernel processes floor(n / Lanes()) full vectors and
 // finishes the remainder with the scalar expression. Owner-computes
@@ -111,9 +117,12 @@ float DotF32(const float* a, const float* b, int64_t n);
 // skipping a[i,kk] == 0 like the scalar kernel.
 void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
                    int m);
-// ga[i,kk] += <g[i,:], b[kk,:]> — DotF32-based, ulp-bounded class.
-void MatMulGradARowsF32(const float* g, const float* b, float* ga, int64_t ib, int64_t ie, int k,
-                        int m);
+// ga[i,kk] += <g[i,:], b[kk,:]>, each element bitwise-equal to DotF32 (so
+// ulp-bounded against the scalar loop). bt is b transposed (m x k, built once
+// per backward call): full Lanes()-wide column tiles read it, the k %
+// Lanes() leftover columns call DotF32 on rows of b.
+void MatMulGradARowsF32(const float* g, const float* b, const float* bt, float* ga, int64_t ib,
+                        int64_t ie, int k, int m);
 // gb[kk,:] += a[i,kk] * g[i,:] for kk in [kb, ke), i ascending — bitwise.
 void MatMulGradBRowsF32(const float* g, const float* a, float* gb, int64_t kb, int64_t ke, int n,
                         int k, int m);

@@ -6,6 +6,8 @@
 //   - loss_curve and mask_entropy the same length with every entry finite
 //     (the JSON writer nulls non-finite doubles, so a null here means an
 //     Inf/NaN leaked out of an audit hook),
+//   - numeric_fault a string, and a record naming a fault carries no
+//     top_scores (the driver clears a faulted instance's scores),
 //   - instance_in_group in [0, group_size) with complete per-instance
 //     attribution: every group size observed contributes the same number of
 //     records at each instance slot (no instance silently dropped or
@@ -140,6 +142,13 @@ int main(int argc, char** argv) {
     if (!FiniteArray(record, "top_scores", line_no, &scores_len)) return 1;
     if (loss_len != entropy_len) {
       return Fail(line_no, "loss_curve and mask_entropy lengths differ"), 1;
+    }
+    const JsonValue* fault = record.Find("numeric_fault");
+    if (fault == nullptr || !fault->is_string()) {
+      return Fail(line_no, "missing string \"numeric_fault\""), 1;
+    }
+    if (!fault->string_value.empty() && scores_len != 0) {
+      return Fail(line_no, "a record with a numeric_fault kept its top_scores"), 1;
     }
 
     // Identity / attribution invariants.

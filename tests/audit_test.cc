@@ -160,6 +160,7 @@ TEST_F(AuditTest, SequentialExplainEmitsOneCompleteRecord) {
   ASSERT_EQ(record.mask_entropy.size(), static_cast<size_t>(kEpochs));
   EXPECT_TRUE(AllFinite(record.loss_curve));
   EXPECT_TRUE(AllFinite(record.mask_entropy));
+  EXPECT_TRUE(record.numeric_fault.empty());
   // Top-k scores sorted descending.
   ASSERT_FALSE(record.top_scores.empty());
   for (size_t i = 1; i < record.top_scores.size(); ++i) {
@@ -252,6 +253,45 @@ TEST_F(AuditTest, GnnExplainerBatchAttributesPerInstance) {
   }
 }
 
+// A finite but overflowing feature row (3e38) makes the driver fail that
+// instance with a numeric fault; its record names the fault and keeps no
+// scores, while its batch-mates' records stay clean.
+TEST_F(AuditTest, NumericFaultIsRecordedPerInstance) {
+  gnn::GnnModel model(ModelConfig());
+  model.Freeze();
+  constexpr int kGroup = 3;
+  std::vector<TaskData> data;
+  for (int i = 0; i < kGroup; ++i) data.push_back(MakeNodeTaskData(kSeed + 90 + i));
+  for (int c = 0; c < kFeatureDim; ++c) data[1].features.SetAt(data[1].target_node, c, 3e38f);
+  std::vector<explain::ExplanationTask> tasks;
+  for (const TaskData& d : data) tasks.push_back(d.MakeTask(&model));
+  std::vector<const explain::ExplanationTask*> group;
+  for (const auto& task : tasks) group.push_back(&task);
+
+  explain::GnnExplainerOptions gnn_options;
+  gnn_options.epochs = kEpochs;
+  core::RevelioExplainer revelio(RevelioTestOptions());
+  explain::GnnExplainerMethod gnnexplainer(gnn_options);
+  for (explain::Explainer* explainer :
+       std::vector<explain::Explainer*>{&revelio, &gnnexplainer}) {
+    obs::AuditSink::Global().CollectInMemory();
+    const std::vector<explain::Explanation> batched =
+        explainer->ExplainBatch(group, explain::Objective::kFactual);
+    const std::vector<obs::AuditRecord> records = obs::AuditSink::Global().TakeRecords();
+    obs::AuditSink::Global().Close();
+    ASSERT_EQ(batched.size(), static_cast<size_t>(kGroup));
+    ASSERT_EQ(records.size(), static_cast<size_t>(kGroup));
+    ASSERT_FALSE(batched[1].status.ok()) << explainer->name();
+    EXPECT_EQ(records[1].numeric_fault, batched[1].status.message()) << explainer->name();
+    EXPECT_EQ(records[1].numeric_fault.rfind("numeric fault", 0), 0u) << explainer->name();
+    EXPECT_TRUE(records[1].top_scores.empty()) << explainer->name();
+    for (int i : {0, 2}) {
+      ASSERT_TRUE(batched[i].status.ok()) << explainer->name() << " instance " << i;
+      EXPECT_TRUE(records[i].numeric_fault.empty()) << explainer->name() << " instance " << i;
+    }
+  }
+}
+
 TEST_F(AuditTest, RecordJsonRoundTrips) {
   obs::AuditRecord record;
   record.record_id = 7;
@@ -267,6 +307,7 @@ TEST_F(AuditTest, RecordJsonRoundTrips) {
   record.loss_curve = {0.9, 0.5, 0.25};
   record.mask_entropy = {0.69, 0.5, 0.31};
   record.top_scores = {2.5, 1.0, -0.5};
+  record.numeric_fault = "numeric fault: non-finite loss at epoch 2";
   record.pool_hits = 100;
   record.pool_misses = 2;
   record.wall_seconds = 0.125;
@@ -292,6 +333,8 @@ TEST_F(AuditTest, RecordJsonRoundTrips) {
   EXPECT_EQ(root.Find("loss_curve")->array_items[2].number_value, 0.25);
   ASSERT_EQ(root.Find("mask_entropy")->array_items.size(), 3u);
   ASSERT_EQ(root.Find("top_scores")->array_items.size(), 3u);
+  ASSERT_NE(root.Find("numeric_fault"), nullptr);
+  EXPECT_EQ(root.Find("numeric_fault")->string_value, "numeric fault: non-finite loss at epoch 2");
   const obs::JsonValue* pool = root.Find("pool");
   ASSERT_NE(pool, nullptr);
   EXPECT_EQ(pool->Find("hits")->number_value, 100.0);

@@ -374,5 +374,104 @@ INSTANTIATE_TEST_SUITE_P(NanInfAndHuge, HostileFeatureTest,
                          ::testing::Values(std::numeric_limits<float>::quiet_NaN(),
                                            std::numeric_limits<float>::infinity(), 3e38f));
 
+// An edgeless graph is degenerate but valid. GNNExplainer has no edge mask to
+// learn on it and answers OK with no edge scores: through Explain, inside a
+// mixed batch (whose other tasks keep their solo bits), and through the
+// server.
+class EdgelessGraphTest : public ::testing::Test {
+ protected:
+  static constexpr int kFeatureDim = 3;
+
+  EdgelessGraphTest() : edgeless_(3), ring_(6) {
+    for (int v = 0; v < 6; ++v) ring_.AddUndirectedEdge(v, (v + 1) % 6);
+    gnn::GnnConfig config;
+    config.arch = gnn::GnnArch::kGcn;
+    config.input_dim = kFeatureDim;
+    config.hidden_dim = 4;
+    config.num_classes = 2;
+    config.num_layers = 2;
+    model_ = std::make_unique<gnn::GnnModel>(config);
+    model_->Freeze();
+    runner_config_.explainer_epochs = 5;
+  }
+
+  static Tensor Features(const graph::Graph& graph, uint64_t seed) {
+    util::Rng rng(seed);
+    return Tensor::Uniform(graph.num_nodes(), kFeatureDim, -1.0f, 1.0f, &rng);
+  }
+
+  explain::ExplanationTask Task(const graph::Graph& graph, uint64_t seed, int target_node) const {
+    explain::ExplanationTask task;
+    task.model = model_.get();
+    task.graph = &graph;
+    task.features = Features(graph, seed);
+    task.target_node = target_node;
+    return task;
+  }
+
+  std::unique_ptr<explain::Explainer> GnnExplainer() const {
+    return eval::MakeExplainer("GNNExplainer", runner_config_);
+  }
+
+  graph::Graph edgeless_;
+  graph::Graph ring_;
+  std::unique_ptr<gnn::GnnModel> model_;
+  eval::RunnerConfig runner_config_;
+};
+
+TEST_F(EdgelessGraphTest, GnnExplainerAnswersOkWithNoEdgeScores) {
+  const explain::ExplanationTask task = Task(edgeless_, 1, 1);
+  ASSERT_TRUE(explain::ValidateExplanationTask(task).ok());
+  for (const auto objective :
+       {explain::Objective::kFactual, explain::Objective::kCounterfactual}) {
+    const explain::Explanation result = GnnExplainer()->Explain(task, objective);
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_TRUE(result.edge_scores.empty());
+  }
+}
+
+TEST_F(EdgelessGraphTest, BatchMatesKeepTheirSoloBits) {
+  std::vector<explain::ExplanationTask> tasks = {Task(ring_, 10, 0), Task(edgeless_, 11, 2),
+                                                 Task(ring_, 12, 3)};
+  std::vector<const explain::ExplanationTask*> group;
+  for (const auto& task : tasks) group.push_back(&task);
+  for (const auto objective :
+       {explain::Objective::kFactual, explain::Objective::kCounterfactual}) {
+    const std::vector<explain::Explanation> batch = GnnExplainer()->ExplainBatch(group, objective);
+    ASSERT_EQ(batch.size(), 3u);
+    EXPECT_TRUE(batch[1].status.ok()) << batch[1].status.ToString();
+    EXPECT_TRUE(batch[1].edge_scores.empty());
+    for (int i : {0, 2}) {
+      ASSERT_TRUE(batch[i].status.ok()) << batch[i].status.ToString();
+      EXPECT_EQ(batch[i].edge_scores.size(), static_cast<size_t>(ring_.num_edges()));
+      EXPECT_EQ(batch[i].edge_scores, GnnExplainer()->Explain(tasks[i], objective).edge_scores)
+          << "instance " << i;
+    }
+  }
+}
+
+TEST_F(EdgelessGraphTest, ServerAnswersOk) {
+  serve::ModelRegistry registry;
+  ASSERT_TRUE(registry.Register("m", std::make_unique<gnn::GnnModel>(model_->config())).ok());
+  serve::ServeOptions options;
+  options.explainer_epochs = 5;
+  serve::ExplanationServer server(&registry, options);
+  for (const std::string method : {"GNNExplainer", "Revelio"}) {
+    serve::ExplainRequest request;
+    request.model = "m";
+    request.method = method;
+    request.graph = edgeless_;
+    request.features = Features(edgeless_, 20);
+    request.target_node = 0;
+    auto submitted = server.TrySubmit(std::move(request));
+    ASSERT_TRUE(submitted.ok()) << method << " " << submitted.status().ToString();
+    EXPECT_EQ(server.RunOnce().ran, 1) << method;
+    const serve::ExplainResponse response = std::move(submitted).value().get();
+    EXPECT_TRUE(response.status.ok()) << method << " " << response.status.ToString();
+    EXPECT_TRUE(response.explanation.edge_scores.empty()) << method;
+  }
+  server.Shutdown(serve::ExplanationServer::DrainMode::kDrain);
+}
+
 }  // namespace
 }  // namespace revelio

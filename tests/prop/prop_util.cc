@@ -9,6 +9,7 @@
 #include "gnn/layer_edges.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "tensor/simd.h"
 
 namespace revelio::proptest {
 namespace {
@@ -181,8 +182,13 @@ std::vector<OpCase> MakeOpCases(uint64_t seed, bool include_large) {
       int src_rows, cols, count;
       bool fd;
     };
-    std::vector<GatherShape> shapes = {{6, 3, 8, true}, {1, 1, 1, true}, {4, 3, 0, true}};
-    if (include_large) shapes.push_back({512, 64, 4000, false});
+    // Column vectors (cols == 1) take the kernels' inline per-element path.
+    std::vector<GatherShape> shapes = {
+        {6, 3, 8, true}, {1, 1, 1, true}, {4, 3, 0, true}, {6, 1, 9, true}};
+    if (include_large) {
+      shapes.push_back({512, 64, 4000, false});
+      shapes.push_back({512, 1, 40000, false});
+    }
     for (const GatherShape& s : shapes) {
       std::vector<int> indices(s.count);
       for (auto& i : indices) i = idx_rng.UniformInt(s.src_rows);
@@ -202,8 +208,12 @@ std::vector<OpCase> MakeOpCases(uint64_t seed, bool include_large) {
       int src_rows, cols, num_rows;
       bool fd;
     };
-    std::vector<ScatterShape> shapes = {{6, 3, 4, true}, {1, 1, 2, true}, {0, 3, 3, true}};
-    if (include_large) shapes.push_back({4000, 64, 512, false});
+    std::vector<ScatterShape> shapes = {
+        {6, 3, 4, true}, {1, 1, 2, true}, {0, 3, 3, true}, {9, 1, 4, true}};
+    if (include_large) {
+      shapes.push_back({4000, 64, 512, false});
+      shapes.push_back({40000, 1, 512, false});
+    }
     for (const ScatterShape& s : shapes) {
       std::vector<int> indices(s.src_rows);
       for (auto& i : indices) i = idx_rng.UniformInt(s.num_rows);
@@ -560,6 +570,16 @@ Tensor ReferenceUsedEdgeMean(const flow::FlowSet& flows, const std::vector<Tenso
 }
 
 }  // namespace
+
+void ReferenceMatMulGradARows(const float* g, const float* b, float* ga, int n, int k, int m) {
+  for (int i = 0; i < n; ++i) {
+    const float* grow = g + static_cast<size_t>(i) * m;
+    float* garow = ga + static_cast<size_t>(i) * k;
+    for (int kk = 0; kk < k; ++kk) {
+      garow[kk] += tensor::simd::DotF32(grow, b + static_cast<size_t>(kk) * m, m);
+    }
+  }
+}
 
 core::RevelioExplainer::FlowExplanation ReferenceRevelioFlows(
     const explain::ExplanationTask& task, Objective objective,

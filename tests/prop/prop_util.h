@@ -242,6 +242,16 @@ std::vector<float> RunOpCaseBitstream(const OpCase& c, uint64_t value_seed);
 double OpCaseMaxGradError(const OpCase& c, uint64_t value_seed, std::string* detail);
 
 // ---------------------------------------------------------------------------
+// Kernel references
+// ---------------------------------------------------------------------------
+
+// The per-element SIMD MatMul dA loop that simd::MatMulGradARowsF32's
+// register tiles replaced: ga[i, kk] += simd::DotF32(g[i, :], b[kk, :], m)
+// for rows [0, n). g is n x m, b is k x m, ga is n x k, all row-major. The
+// tiled kernel must reproduce it bit for bit.
+void ReferenceMatMulGradARows(const float* g, const float* b, float* ga, int n, int k, int m);
+
+// ---------------------------------------------------------------------------
 // Reference mask learners
 // ---------------------------------------------------------------------------
 

@@ -12,11 +12,14 @@
 //
 // The grid runs threads {1, 2, 7, 16} x pool {on, off}; a separate test pins
 // the SIMD path itself bitwise across thread counts (chunk boundaries only
-// shift the vector-body/tail split, never the bits), and a plan-session test
-// proves replayed tapes honor the runtime toggle because dispatch lives
-// inside the recorded chunk closures, not at record time.
+// shift the vector-body/tail split, never the bits), another diffs MatMul's
+// dA register tiles bitwise against a per-element DotF32 loop, and a
+// plan-session test proves replayed tapes honor the runtime toggle because
+// dispatch lives inside the recorded chunk closures, not at record time.
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -103,6 +106,112 @@ TEST_F(SimdEquivalenceTest, SimdPathIsBitwiseDeterministicAcrossThreads) {
       util::SetNumThreads(threads);
       EXPECT_EQ(RunOpCaseBitstream(c, kSeed ^ 0x5117ULL), serial)
           << c.op << "/" << c.variant << " diverged at " << threads << " threads";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MatMul dA: register tiles vs the per-element DotF32 loop (bitwise)
+// ---------------------------------------------------------------------------
+
+enum class GradRows { kDense, kAllZero, kReluSparse };
+
+// G (n x m): dense uniform, all zero, or ReLU-sparse (entries clamped to +0
+// where a uniform draw is <= 0, and every third row entirely zero).
+std::vector<float> MakeGradRows(util::Rng& rng, int n, int m, GradRows kind) {
+  std::vector<float> g(static_cast<size_t>(n) * m, 0.0f);
+  if (kind == GradRows::kAllZero) return g;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) {
+      const float x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      const bool zero_row = kind == GradRows::kReluSparse && i % 3 == 0;
+      g[static_cast<size_t>(i) * m + j] =
+          kind == GradRows::kDense ? x : (zero_row || x <= 0.0f ? 0.0f : x);
+    }
+  }
+  return g;
+}
+
+// B (k x m) uniform; with `specials`, about one entry in five becomes +Inf,
+// -Inf or NaN, so zero gradient entries meet Inf (0 * Inf = NaN must survive:
+// the kernel may not skip zeros).
+std::vector<float> MakeB(util::Rng& rng, int k, int m, bool specials) {
+  std::vector<float> b(static_cast<size_t>(k) * m);
+  for (float& x : b) {
+    x = static_cast<float>(rng.Uniform(-2.0, 2.0));
+    if (!specials || rng.UniformInt(5) != 0) continue;
+    const int which = rng.UniformInt(3);
+    x = which == 0   ? std::numeric_limits<float>::infinity()
+        : which == 1 ? -std::numeric_limits<float>::infinity()
+                     : std::numeric_limits<float>::quiet_NaN();
+  }
+  return b;
+}
+
+// Every NaN replaced by one quiet NaN. When two NaNs meet in an add, x86
+// returns the first operand's payload, and the compiler may commute the
+// operands of either kernel's adds, so payload and sign are not part of the
+// contract; NaN-ness is, like every other bit.
+std::vector<float> CanonicalNans(std::vector<float> values) {
+  for (float& v : values) {
+    if (std::isnan(v)) v = std::numeric_limits<float>::quiet_NaN();
+  }
+  return values;
+}
+
+// The tiled kernel and MatMul's backward reproduce the per-element DotF32
+// loop (prop_util's copy of the kernel the tiles replaced) bit for bit, over
+// every (k, m) pair that puts full tiles, leftover columns and serial tails
+// in play, at any row split. NaN payloads are canonicalized first.
+TEST_F(SimdEquivalenceTest, MatMulGradATilesMatchPerElementDotBitwise) {
+  constexpr int kRows = 37;
+  const int dims[] = {1, 3, 7, 8, 13, 32, 61};
+  util::Rng rng(kSeed + 13);
+  tensor::simd::SetEnabled(true);
+  for (const int k : dims) {
+    for (const int m : dims) {
+      for (const GradRows kind : {GradRows::kDense, GradRows::kAllZero, GradRows::kReluSparse}) {
+        for (const bool specials : {false, true}) {
+          const std::vector<float> g = MakeGradRows(rng, kRows, m, kind);
+          const std::vector<float> b = MakeB(rng, k, m, specials);
+          std::vector<float> expected(static_cast<size_t>(kRows) * k, 0.0f);
+          ReferenceMatMulGradARows(g.data(), b.data(), expected.data(), kRows, k, m);
+          expected = CanonicalNans(std::move(expected));
+          std::vector<float> bt(b.size());
+          for (int kk = 0; kk < k; ++kk) {
+            for (int j = 0; j < m; ++j) bt[static_cast<size_t>(j) * k + kk] = b[kk * m + j];
+          }
+          const std::string shape = "k=" + std::to_string(k) + " m=" + std::to_string(m) +
+                                    " grad=" + std::to_string(static_cast<int>(kind)) +
+                                    (specials ? " inf/nan" : "");
+          for (const int threads : {1, 2, 7, 16}) {
+            util::SetNumThreads(threads);
+            const std::string label = shape + " threads=" + std::to_string(threads);
+            // The kernel itself, one row per chunk at most.
+            std::vector<float> tiled(expected.size(), 0.0f);
+            util::ParallelFor(0, kRows, 1, [&](int64_t ib, int64_t ie) {
+              tensor::simd::MatMulGradARowsF32(g.data(), b.data(), bt.data(), tiled.data(), ib,
+                                               ie, k, m);
+            });
+            tiled = CanonicalNans(std::move(tiled));
+            std::string failure =
+                util::CompareFloatStreams(tiled.data(), expected.data(), tiled.size(),
+                                          util::Tolerance::Bitwise(), "kernel " + label);
+            EXPECT_TRUE(failure.empty()) << failure;
+            // MatMul's backward: Sum(MatMul(A, B) * G) seeds the product's
+            // gradient with exactly G.
+            const Tensor a = Tensor::Zeros(kRows, k).WithRequiresGrad();
+            tensor::Sum(tensor::Mul(tensor::MatMul(a, Tensor::FromData(k, m, b)),
+                                    Tensor::FromData(kRows, m, g)))
+                .Backward();
+            const std::vector<float> op = CanonicalNans(a.GradData());
+            ASSERT_EQ(op.size(), expected.size()) << label;
+            failure = util::CompareFloatStreams(op.data(), expected.data(), op.size(),
+                                                util::Tolerance::Bitwise(), "MatMul " + label);
+            EXPECT_TRUE(failure.empty()) << failure;
+          }
+        }
+      }
     }
   }
 }
