@@ -24,9 +24,8 @@
 //
 // A fourth sweep (`--simd-sweep`, writes BENCH_simd.json) times the scalar
 // loops against the SIMD tier (tensor/simd.h) at 1 thread — interleaved
-// min-of-N over elementwise/matmul/SpMM — plus a bf16-vs-f32 frozen-model
-// probe whose tensor.matmul.input_bytes counter must read exactly half under
-// REVELIO_EVAL_BF16 storage. `--simd-out FILE` overrides its output path.
+// min-of-N over elementwise/matmul/SpMM. `--simd-out FILE` overrides its
+// output path.
 
 #include <benchmark/benchmark.h>
 
@@ -45,7 +44,6 @@
 #include "gnn/model.h"
 #include "obs/metrics.h"
 #include "plan/plan.h"
-#include "tensor/bf16.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
 #include "tensor/simd.h"
@@ -710,15 +708,6 @@ struct SimdPoint {
   bool bitwise_equal = false;  // SIMD output vs scalar output (forward only)
 };
 
-struct Bf16Point {
-  std::string kernel;
-  int64_t f32_input_bytes = 0;   // tensor.matmul.input_bytes, storage off
-  int64_t bf16_input_bytes = 0;  // same probe, storage on (warm cache)
-  double f32_seconds = 0.0;
-  double bf16_seconds = 0.0;
-  double max_abs_error = 0.0;  // bf16 probe output vs f32 (stated-epsilon class)
-};
-
 // Interleaved min-of-N A/B timing of `run` with the SIMD toggle off vs on,
 // at 1 thread: alternating per trial cancels frequency drift on a loaded
 // single-core host, min-of-trials cancels scheduler noise.
@@ -752,11 +741,10 @@ void TimeScalarVsSimd(Fn run, int reps, SimdPoint* point) {
 }
 
 // Scalar-vs-SIMD on the three kernel families the explanation hot path is
-// made of, plus a bf16-vs-f32 eval probe. Sizes are L1/L2-resident on
-// purpose: explanation training and fidelity probes work on small-graph
-// tensors (KBs to a few MB), the regime where operand width is the
-// bottleneck; DRAM-bound sizes would only measure memory bandwidth.
-void RunSimdSweep(bool quick, std::vector<SimdPoint>* points, Bf16Point* bf16_point) {
+// made of. Sizes are L1/L2-resident on purpose: explanation training and
+// fidelity probes work on small-graph tensors (KBs to a few MB); DRAM-bound
+// sizes would only measure memory bandwidth.
+void RunSimdSweep(bool quick, std::vector<SimdPoint>* points) {
   util::SetNumThreads(1);
   util::Rng rng(41);
 
@@ -810,76 +798,10 @@ void RunSimdSweep(bool quick, std::vector<SimdPoint>* points, Bf16Point* bf16_po
     points->push_back(point);
   }
 
-  // bf16 eval probe: a frozen-weight MatMul inside an EvalScope, the shape of
-  // a fidelity-sweep forward. The tensor.matmul.input_bytes counter must read
-  // exactly half under bf16 storage (2-byte operands for both grad-free
-  // leaves); the output error stays in the stated-epsilon class.
-  {
-    const int n = 256, k = 64, m = 64;
-    tensor::Tensor a = tensor::Tensor::Randn(n, k, &rng);
-    tensor::Tensor b = tensor::Tensor::Randn(k, m, &rng);
-    bf16_point->kernel = "matmul_eval_" + std::to_string(n) + "x" + std::to_string(k) + "x" +
-                         std::to_string(m);
-    const bool obs_was_enabled = obs::Enabled();
-    const bool bf16_was_enabled = tensor::bf16::EvalStorageEnabled();
-    obs::SetEnabled(true);
-    obs::Counter* input_bytes =
-        obs::MetricsRegistry::Global().GetCounter("tensor.matmul.input_bytes");
-    tensor::simd::SetEnabled(tensor::simd::Lanes() > 1);
-
-    tensor::bf16::SetEvalStorage(false);
-    std::vector<float> f32_out;
-    {
-      tensor::bf16::EvalScope scope;
-      f32_out = tensor::MatMul(a, b).values();
-      const uint64_t before = input_bytes->Total();
-      tensor::Tensor out = tensor::MatMul(a, b);
-      benchmark::DoNotOptimize(out);
-      bf16_point->f32_input_bytes = static_cast<int64_t>(input_bytes->Total() - before);
-    }
-    tensor::bf16::SetEvalStorage(true);
-    std::vector<float> bf16_out;
-    {
-      tensor::bf16::EvalScope scope;
-      bf16_out = tensor::MatMul(a, b).values();  // first probe pays the pack
-      const uint64_t before = input_bytes->Total();
-      tensor::Tensor out = tensor::MatMul(a, b);  // warm: packed caches hit
-      benchmark::DoNotOptimize(out);
-      bf16_point->bf16_input_bytes = static_cast<int64_t>(input_bytes->Total() - before);
-    }
-    for (size_t i = 0; i < f32_out.size(); ++i) {
-      bf16_point->max_abs_error = std::max(
-          bf16_point->max_abs_error, static_cast<double>(std::fabs(bf16_out[i] - f32_out[i])));
-    }
-
-    // Interleaved min-of-N timing, both modes inside the scope.
-    constexpr int kTrials = 5;
-    const int reps = 8;
-    auto time_reps = [&] {
-      tensor::bf16::EvalScope scope;
-      util::Timer timer;
-      for (int r = 0; r < reps; ++r) {
-        tensor::Tensor out = tensor::MatMul(a, b);
-        benchmark::DoNotOptimize(out);
-      }
-      return timer.ElapsedSeconds();
-    };
-    bf16_point->f32_seconds = std::numeric_limits<double>::infinity();
-    bf16_point->bf16_seconds = std::numeric_limits<double>::infinity();
-    for (int trial = 0; trial < kTrials; ++trial) {
-      tensor::bf16::SetEvalStorage(false);
-      bf16_point->f32_seconds = std::min(bf16_point->f32_seconds, time_reps() / reps);
-      tensor::bf16::SetEvalStorage(true);
-      bf16_point->bf16_seconds = std::min(bf16_point->bf16_seconds, time_reps() / reps);
-    }
-    tensor::bf16::SetEvalStorage(bf16_was_enabled);
-    obs::SetEnabled(obs_was_enabled);
-  }
   tensor::simd::SetEnabled(tensor::simd::Lanes() > 1);
 }
 
-void WriteSimdJson(const std::vector<SimdPoint>& points, const Bf16Point& bf16_point,
-                   const std::string& path) {
+void WriteSimdJson(const std::vector<SimdPoint>& points, const std::string& path) {
   bench::WriteBenchJson(path, "simd_sweep", [&](obs::JsonWriter* w) {
     w->BeginObject();
     w->Key("isa");
@@ -905,21 +827,6 @@ void WriteSimdJson(const std::vector<SimdPoint>& points, const Bf16Point& bf16_p
       w->EndObject();
     }
     w->EndArray();
-    w->Key("bf16");
-    w->BeginObject();
-    w->Key("kernel");
-    w->String(bf16_point.kernel);
-    w->Key("f32_input_bytes");
-    w->Int(bf16_point.f32_input_bytes);
-    w->Key("bf16_input_bytes");
-    w->Int(bf16_point.bf16_input_bytes);
-    w->Key("f32_seconds");
-    w->Double(bf16_point.f32_seconds);
-    w->Key("bf16_seconds");
-    w->Double(bf16_point.bf16_seconds);
-    w->Key("max_abs_error");
-    w->Double(bf16_point.max_abs_error);
-    w->EndObject();
     w->EndObject();
   });
 }
@@ -928,18 +835,13 @@ void RunSimdSweepAndReport(bool quick, const std::string& out_path) {
   std::printf("== scalar vs SIMD sweep, 1 thread, %s/%d lanes (writes %s) ==\n",
               tensor::simd::IsaName(), tensor::simd::Lanes(), out_path.c_str());
   std::vector<SimdPoint> points;
-  Bf16Point bf16_point;
-  RunSimdSweep(quick, &points, &bf16_point);
+  RunSimdSweep(quick, &points);
   for (const SimdPoint& p : points) {
     std::printf("%-22s scalar %9.6fs  simd %9.6fs  speedup=%5.2fx  bitwise_equal=%s\n",
                 p.kernel.c_str(), p.scalar_seconds, p.simd_seconds, p.simd_speedup,
                 p.bitwise_equal ? "yes" : "NO");
   }
-  std::printf("%-22s f32 %lld bytes %9.6fs  bf16 %lld bytes %9.6fs  max_abs_err=%.3g\n",
-              bf16_point.kernel.c_str(), static_cast<long long>(bf16_point.f32_input_bytes),
-              bf16_point.f32_seconds, static_cast<long long>(bf16_point.bf16_input_bytes),
-              bf16_point.bf16_seconds, bf16_point.max_abs_error);
-  WriteSimdJson(points, bf16_point, out_path);
+  WriteSimdJson(points, out_path);
 }
 
 }  // namespace
@@ -955,7 +857,7 @@ int main(int argc, char** argv) {
   const std::string pool_out = flags.GetString("pool-out", "BENCH_pool.json");
   const std::string simd_out = flags.GetString("simd-out", "BENCH_simd.json");
   if (flags.GetBool("simd-sweep", false)) {
-    // Scalar-vs-SIMD and bf16-vs-f32 sweep only: the simd-regression ctest
+    // Scalar-vs-SIMD sweep only: the simd-regression ctest
     // path (with `--quick` sizes when combined).
     RunSimdSweepAndReport(quick, simd_out);
     benchmark::Shutdown();

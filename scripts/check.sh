@@ -9,12 +9,11 @@
 # backward, or the level-parallel plan executor is attributed directly. The
 # pool and plan stages rerun their equivalence suites under ASan with
 # REVELIO_POISON_POOL=1 so full-overwrite contract violations surface as NaNs,
-# and the simd stage does the same for the SIMD/bf16 equivalence suites: any
+# and the simd stage does the same for the SIMD equivalence suite: any
 # vector sweep that over-reads past a tensor's end or treats a poisoned pooled
 # buffer as data trips ASan or the tolerance check respectively. (UBSan covers
-# the intrinsic wrappers too — simd.cc and bf16.cc are in the instrumented
-# smoke set, so misaligned or out-of-range lane arithmetic fails the ubsan
-# stage.)
+# the intrinsic wrappers too — simd.cc is in the instrumented smoke set, so
+# misaligned or out-of-range lane arithmetic fails the ubsan stage.)
 #
 # Usage: scripts/check.sh [--fast] [-j N]
 #   --fast   skip the sanitizer stages (tier1 + prop only)
@@ -94,10 +93,9 @@ if [[ "${FAST}" -eq 0 ]]; then
   # NaN in megabatch_equivalence_test; edge_cases_test covers its
   # finite-output check on hostile features.
   run_stage "plan"        env REVELIO_POISON_POOL=1 ctest --preset asan -R "plan_equivalence_test|plan_test|megabatch_equivalence_test|edge_cases_test"
-  # SIMD + bf16 equivalence under ASan with NaN-poisoned recycled buffers: the
-  # vector sweeps must never read past n (the scalar tail owns the remainder),
-  # and the bf16 pack cache must repack rather than widen stale poisoned bits.
-  run_stage "simd"        env REVELIO_POISON_POOL=1 ctest --preset asan -R "simd_equivalence_test|bf16_eval_test"
+  # SIMD equivalence under ASan with NaN-poisoned recycled buffers: the
+  # vector sweeps must never read past n (the scalar tail owns the remainder).
+  run_stage "simd"        env REVELIO_POISON_POOL=1 ctest --preset asan -R "simd_equivalence_test"
   run_stage "ubsan-build" build_preset ubsan
   run_stage "ubsan"       ctest --preset ubsan
   run_stage "tsan-build"  build_preset tsan

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "nn/loss.h"
-#include "tensor/bf16.h"
 
 namespace revelio::eval {
 
@@ -54,9 +53,6 @@ int KeptEdgeCount(int num_edges, double sparsity) {
 double FidelityMinus(const explain::ExplanationTask& task,
                      const std::vector<double>& edge_scores, double sparsity) {
   CHECK_EQ(static_cast<int>(edge_scores.size()), task.graph->num_edges());
-  // Inference-only probes: under REVELIO_EVAL_BF16=1 the model forwards in
-  // this scope read frozen weights/features from bf16 mirrors (tensor/bf16.h).
-  tensor::bf16::EvalScope bf16_scope;
   const std::vector<int> order =
       RankEdges(SymmetrizeEdgeScores(*task.graph, edge_scores));
   const int kept = KeptEdgeCount(task.graph->num_edges(), sparsity);
@@ -69,7 +65,6 @@ double FidelityMinus(const explain::ExplanationTask& task,
 double FidelityPlus(const explain::ExplanationTask& task,
                     const std::vector<double>& edge_scores, double sparsity) {
   CHECK_EQ(static_cast<int>(edge_scores.size()), task.graph->num_edges());
-  tensor::bf16::EvalScope bf16_scope;
   const std::vector<int> order =
       RankEdges(SymmetrizeEdgeScores(*task.graph, edge_scores));
   const int removed_count = KeptEdgeCount(task.graph->num_edges(), sparsity);

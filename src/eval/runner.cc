@@ -19,7 +19,6 @@
 #include "graph/subgraph.h"
 #include "nn/loss.h"
 #include "obs/trace.h"
-#include "tensor/bf16.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -367,12 +366,6 @@ FidelityCurve RunFidelity(explain::Explainer* explainer, const PreparedModel& pr
   }
   const std::vector<explain::Explanation> explanations =
       ExplainAll(explainer, tasks, objective);
-  // The fidelity sweep is inference-only: one EvalScope across the whole
-  // loop keeps bf16-packed frozen weights/features cached across instances
-  // and sparsity levels (no-op unless REVELIO_EVAL_BF16=1). Explanation
-  // above stays outside the scope — explainers train masks and must not pay
-  // pack traffic on their forward intermediates.
-  tensor::bf16::EvalScope bf16_scope;
   // Serial reduction in instance order: parallel explanation changes neither
   // the per-instance values nor the order they are summed in.
   for (size_t i = 0; i < tasks.size(); ++i) {

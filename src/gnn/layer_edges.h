@@ -26,8 +26,8 @@ struct LayerEdgeSet {
 
   // Aggregation pattern over the augmented edge list, grouped by destination
   // node with weight slots = layer-edge indices; spliced from the graph's
-  // cached InCsr() by BuildLayerEdges. Null on default-constructed sets, in
-  // which case layers fall back to the legacy gather/scatter chain.
+  // cached InCsr() by BuildLayerEdges. Layers require it (a null pattern is a
+  // CHECK failure), so build every set with BuildLayerEdges.
   tensor::CsrPatternRef csr;
 
   int num_layer_edges() const { return static_cast<int>(src.size()); }

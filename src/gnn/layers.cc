@@ -1,9 +1,6 @@
 #include "gnn/layers.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "tensor/init.h"
@@ -16,38 +13,17 @@ using tensor::Tensor;
 
 namespace {
 
-bool FusedAggregationDefault() {
-  const char* env = std::getenv("REVELIO_FUSED_AGG");
-  if (env == nullptr) return true;
-  const std::string value(env);
-  return !(value == "0" || value == "false" || value == "off");
-}
-
-std::atomic<bool>& FusedAggregationFlag() {
-  static std::atomic<bool> flag(FusedAggregationDefault());
-  return flag;
-}
-
 // Aggregation step shared by all layers: out[j] = sum over in-layer-edges e
-// of scale[e] * h[src(e)]. Dispatches to the fused SpMM when the edge set
-// carries a CSR pattern and the toggle is on; both paths are bitwise-equal
-// (the fused kernel reproduces the chain's serial scan order, see
-// tensor/ops_spmm.cc and tests/prop/spmm_equivalence_test.cc).
+// of scale[e] * h[src(e)], one fused SpMM over the edge set's CSR pattern
+// (bitwise-equal to the Gather -> RowScale -> ScatterAdd chain it replaced;
+// see tests/prop/spmm_equivalence_test.cc).
 Tensor AggregateMessages(const LayerEdgeSet& edges, const Tensor& scale, const Tensor& h) {
-  if (FusedAggregationEnabled() && edges.csr != nullptr) {
-    return tensor::SpmmCsrWeighted(edges.csr, scale, h);
-  }
-  Tensor messages = tensor::RowScale(tensor::GatherRows(h, edges.src), scale);
-  return tensor::ScatterAddRows(messages, edges.dst, edges.num_nodes);
+  CHECK(edges.csr != nullptr) << "LayerEdgeSet without a CSR pattern; build it with "
+                                 "BuildLayerEdges";
+  return tensor::SpmmCsrWeighted(edges.csr, scale, h);
 }
 
 }  // namespace
-
-bool FusedAggregationEnabled() { return FusedAggregationFlag().load(std::memory_order_relaxed); }
-
-void SetFusedAggregation(bool enabled) {
-  FusedAggregationFlag().store(enabled, std::memory_order_relaxed);
-}
 
 GcnLayer::GcnLayer(int in_dim, int out_dim, util::Rng* rng, bool normalize)
     : GnnLayer(in_dim, out_dim), normalize_(normalize) {

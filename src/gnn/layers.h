@@ -20,14 +20,6 @@
 
 namespace revelio::gnn {
 
-// Runtime toggle for the fused CSR SpMM aggregation path. Defaults to on;
-// REVELIO_FUSED_AGG=0 (or "false"/"off") at process start selects the legacy
-// Gather -> RowScale -> ScatterAdd chain, kept alive as the differential
-//-testing oracle. Layers also fall back to the chain when a LayerEdgeSet has
-// no CSR pattern (default-constructed sets).
-bool FusedAggregationEnabled();
-void SetFusedAggregation(bool enabled);
-
 class GnnLayer : public nn::Module {
  public:
   GnnLayer(int in_dim, int out_dim) : in_dim_(in_dim), out_dim_(out_dim) {}

@@ -1,5 +1,9 @@
 #include "graph/batch.h"
 
+#include <algorithm>
+
+#include "tensor/pool.h"
+
 namespace revelio::graph {
 
 GraphBatch MakeBatch(const std::vector<const GraphInstance*>& instances) {
@@ -16,8 +20,11 @@ GraphBatch MakeBatch(const std::vector<const GraphInstance*>& instances) {
   }
 
   batch.graph = Graph(total_nodes);
-  std::vector<float> features;
-  features.reserve(static_cast<size_t>(total_nodes) * feature_dim);
+  // Pooled, so the features tensor hands back to the pool a buffer it took
+  // from it (a plain vector would be parked as if the pool had lent it out).
+  std::vector<float> features =
+      tensor::AcquireBuffer(static_cast<size_t>(total_nodes) * feature_dim);
+  float* next_row = features.data();
   batch.node_to_graph.reserve(total_nodes);
 
   int offset = 0;
@@ -28,7 +35,7 @@ GraphBatch MakeBatch(const std::vector<const GraphInstance*>& instances) {
       batch.graph.AddEdge(e.src + offset, e.dst + offset);
     }
     const auto& values = instance->features.values();
-    features.insert(features.end(), values.begin(), values.end());
+    next_row = std::copy(values.begin(), values.end(), next_row);
     for (int i = 0; i < n; ++i) batch.node_to_graph.push_back(g);
     batch.labels.push_back(instance->labels[0]);
     offset += n;

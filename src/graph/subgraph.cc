@@ -4,6 +4,8 @@
 #include <deque>
 #include <unordered_map>
 
+#include "tensor/pool.h"
+
 namespace revelio::graph {
 
 Subgraph ExtractKHopInSubgraph(const Graph& graph, int target, int k) {
@@ -73,11 +75,13 @@ util::StatusOr<Subgraph> TryExtractKHopInSubgraph(const Graph& graph, int target
 
 tensor::Tensor SliceRows(const tensor::Tensor& features, const std::vector<int>& rows) {
   const int cols = features.cols();
-  std::vector<float> data;
-  data.reserve(rows.size() * static_cast<size_t>(cols));
+  // Pooled for the same reason as graph::MakeBatch's features.
+  std::vector<float> data = tensor::AcquireBuffer(rows.size() * static_cast<size_t>(cols));
+  float* next_row = data.data();
   for (int r : rows) {
     CHECK(r >= 0 && r < features.rows());
-    for (int c = 0; c < cols; ++c) data.push_back(features.At(r, c));
+    const float* row = features.values().data() + static_cast<size_t>(r) * cols;
+    next_row = std::copy(row, row + cols, next_row);
   }
   return tensor::Tensor::FromData(static_cast<int>(rows.size()), cols, std::move(data));
 }

@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/bf16.h"
 #include "tensor/op_helpers.h"
 #include "tensor/pool.h"
 #include "util/check.h"
@@ -186,11 +185,6 @@ bool PlanSession::Replay(const PlanKey& key) {
     return false;
   }
   obs::ScopedSpan span("plan.replay", obs::FlightPolicy::kSkip);
-  // Replay overwrites every tape output's `values` in place; any bf16 mirror
-  // cached on those nodes (tensor/bf16.h) is stale the moment a step runs.
-  for (const auto& op : tape_.ops) {
-    if (op.out->bf16_values != nullptr) tensor::bf16::InvalidatePacked(op.out.get());
-  }
   tensor::TensorPool* pool = tensor::TensorPool::ThreadLocal();
   const uint64_t acquires_before = pool ? pool->stats().hits + pool->stats().misses : 0;
 

@@ -23,20 +23,6 @@ int EnvInt(const char* name, int fallback) {
   return value > 0 ? value : fallback;
 }
 
-bool EnvFlagDisabled(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  const std::string value(env);
-  return value == "0" || value == "false" || value == "off";
-}
-
-bool EnvFlagEnabled(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  const std::string value(env);
-  return !(value.empty() || value == "0" || value == "false" || value == "off");
-}
-
 bool KnownMethod(const std::string& method) {
   if (method == "Random") return true;
   const std::vector<std::string> names = eval::AllExplainerNames();
@@ -54,9 +40,7 @@ ServeOptions ServeOptionsFromEnv() {
   ServeOptions options;
   options.queue_capacity = static_cast<size_t>(EnvInt("REVELIO_SERVE_QUEUE_DEPTH", 64));
   options.num_workers = EnvInt("REVELIO_SERVE_WORKERS", 1);
-  options.coalesce = !EnvFlagDisabled("REVELIO_SERVE_COALESCE");
   options.coalesce_limit = EnvInt("REVELIO_SERVE_COALESCE_SIZE", 8);
-  options.legacy_loop = EnvFlagEnabled("REVELIO_SERVE_LEGACY_LOOP");
   options.default_deadline_nanos =
       static_cast<int64_t>(EnvInt("REVELIO_SERVE_DEADLINE_MS", 0)) * 1'000'000;
   return options;
@@ -275,18 +259,7 @@ void ExplanationServer::RunGroup(std::vector<std::unique_ptr<PendingRequest>> gr
   {
     std::unique_lock<std::mutex> run_lock;
     if (serialize != nullptr) run_lock = std::unique_lock<std::mutex>(*serialize);
-    if (options_.legacy_loop) {
-      // Pre-serving fallback: each request goes through the batch driver one
-      // task at a time, exactly as the sequential eval loop would.
-      totals_.legacy_requests.fetch_add(group.size(), std::memory_order_relaxed);
-      results.reserve(group.size());
-      for (const auto& pending : group) {
-        std::vector<explain::ExplanationTask> one{pending->task};
-        std::vector<explain::Explanation> batch =
-            eval::ExplainAll(explainer, one, pending->request.objective);
-        results.push_back(std::move(batch[0]));
-      }
-    } else if (group.size() == 1) {
+    if (group.size() == 1) {
       results.push_back(explainer->Explain(group[0]->task, objective));
     } else {
       std::vector<const explain::ExplanationTask*> tasks;
@@ -337,12 +310,8 @@ void ExplanationServer::RunGroup(std::vector<std::unique_ptr<PendingRequest>> gr
   }
 }
 
-ExplanationServer::RunOnceResult ExplanationServer::RunOnce() {
+ExplanationServer::RunOnceResult ExplanationServer::ServeItem(const QueueItem& item) {
   RunOnceResult result;
-  QueueItem item;
-  if (!queue_.TryPop(&item)) return result;
-  UpdateDepthGauge();
-
   std::unique_ptr<PendingRequest> pending(static_cast<PendingRequest*>(item.payload));
   const int64_t now = clock_->NowNanos();
   if (pending->deadline_nanos != 0 && now > pending->deadline_nanos) {
@@ -354,21 +323,19 @@ ExplanationServer::RunOnceResult ExplanationServer::RunOnce() {
 
   std::vector<std::unique_ptr<PendingRequest>> group;
   group.push_back(std::move(pending));
-  if (options_.coalesce && !options_.legacy_loop && options_.coalesce_limit > 1) {
-    QueueItem next;
-    while (static_cast<int>(group.size()) < options_.coalesce_limit &&
-           queue_.TryPopMatching(item.coalesce_key, &next)) {
-      UpdateDepthGauge();
-      std::unique_ptr<PendingRequest> extra(static_cast<PendingRequest*>(next.payload));
-      const int64_t t = clock_->NowNanos();
-      if (extra->deadline_nanos != 0 && t > extra->deadline_nanos) {
-        FinishTimedOut(std::move(extra), t);
-        ++result.completed;
-        ++result.timed_out;
-        continue;
-      }
-      group.push_back(std::move(extra));
+  QueueItem next;
+  while (static_cast<int>(group.size()) < options_.coalesce_limit &&
+         queue_.TryPopMatching(item.coalesce_key, &next)) {
+    UpdateDepthGauge();
+    std::unique_ptr<PendingRequest> extra(static_cast<PendingRequest*>(next.payload));
+    const int64_t t = clock_->NowNanos();
+    if (extra->deadline_nanos != 0 && t > extra->deadline_nanos) {
+      FinishTimedOut(std::move(extra), t);
+      ++result.completed;
+      ++result.timed_out;
+      continue;
     }
+    group.push_back(std::move(extra));
   }
 
   const int ran = static_cast<int>(group.size());
@@ -378,37 +345,18 @@ ExplanationServer::RunOnceResult ExplanationServer::RunOnce() {
   return result;
 }
 
+ExplanationServer::RunOnceResult ExplanationServer::RunOnce() {
+  QueueItem item;
+  if (!queue_.TryPop(&item)) return RunOnceResult{};
+  UpdateDepthGauge();
+  return ServeItem(item);
+}
+
 void ExplanationServer::WorkerLoop() {
-  while (true) {
-    QueueItem item;
-    if (!queue_.WaitPop(&item)) return;
+  QueueItem item;
+  while (queue_.WaitPop(&item)) {
     UpdateDepthGauge();
-    // Re-enter the RunOnce path for the popped item: deadline check, then
-    // coalesce-and-run. Duplicating the small head here keeps WaitPop's
-    // blocking semantics out of RunOnce (which must never block).
-    std::unique_ptr<PendingRequest> pending(static_cast<PendingRequest*>(item.payload));
-    const int64_t now = clock_->NowNanos();
-    if (pending->deadline_nanos != 0 && now > pending->deadline_nanos) {
-      FinishTimedOut(std::move(pending), now);
-      continue;
-    }
-    std::vector<std::unique_ptr<PendingRequest>> group;
-    group.push_back(std::move(pending));
-    if (options_.coalesce && !options_.legacy_loop && options_.coalesce_limit > 1) {
-      QueueItem next;
-      while (static_cast<int>(group.size()) < options_.coalesce_limit &&
-             queue_.TryPopMatching(item.coalesce_key, &next)) {
-        UpdateDepthGauge();
-        std::unique_ptr<PendingRequest> extra(static_cast<PendingRequest*>(next.payload));
-        const int64_t t = clock_->NowNanos();
-        if (extra->deadline_nanos != 0 && t > extra->deadline_nanos) {
-          FinishTimedOut(std::move(extra), t);
-          continue;
-        }
-        group.push_back(std::move(extra));
-      }
-    }
-    RunGroup(std::move(group), now);
+    ServeItem(item);
   }
 }
 
@@ -461,7 +409,6 @@ ServerStats ExplanationServer::stats() const {
   stats.completed = totals_.completed.load(std::memory_order_relaxed);
   stats.coalesced_groups = totals_.coalesced_groups.load(std::memory_order_relaxed);
   stats.coalesced_instances = totals_.coalesced_instances.load(std::memory_order_relaxed);
-  stats.legacy_requests = totals_.legacy_requests.load(std::memory_order_relaxed);
   stats.warm_pool_hits = totals_.warm_pool_hits.load(std::memory_order_relaxed);
   stats.warm_pool_misses = totals_.warm_pool_misses.load(std::memory_order_relaxed);
   stats.queue_depth = queue_.depth();

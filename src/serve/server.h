@@ -17,7 +17,7 @@
 //                              │
 //                              ▼
 //                  Explainer::ExplainBatch (PR 6 mega-batch fusion)
-//                  / Explainer::Explain / legacy eval::ExplainAll,
+//                  / Explainer::Explain,
 //                  per-request MemoryScope + warm TensorPool reuse (PR 5)
 //
 // Responses travel back through per-request std::futures. Every request is
@@ -66,18 +66,13 @@ namespace revelio::serve {
 // Env knobs (read once by ServeOptionsFromEnv):
 //   REVELIO_SERVE_QUEUE_DEPTH    admission-queue capacity (default 64)
 //   REVELIO_SERVE_WORKERS        worker threads started by Start() (default 1)
-//   REVELIO_SERVE_COALESCE       "0" disables batching of same-key requests
-//   REVELIO_SERVE_COALESCE_SIZE  max requests fused per ExplainBatch (default 8)
-//   REVELIO_SERVE_LEGACY_LOOP    "1" routes every request through sequential
-//                                eval::ExplainAll (one task at a time; the
-//                                pre-serving code path, kept as the fallback)
+//   REVELIO_SERVE_COALESCE_SIZE  max requests fused per ExplainBatch (default 8;
+//                                1 runs every request alone)
 //   REVELIO_SERVE_DEADLINE_MS    default per-request deadline (0 = none)
 struct ServeOptions {
   size_t queue_capacity = 64;
   int num_workers = 1;
-  bool coalesce = true;
-  int coalesce_limit = 8;
-  bool legacy_loop = false;
+  int coalesce_limit = 8;  // 1 disables coalescing
   int64_t default_deadline_nanos = 0;  // applied when a request carries none
   // Requests that actually run after this many have already run count toward
   // the warm-pool steady-state totals (stats().warm_pool_*). The bench warms
@@ -127,7 +122,6 @@ struct ServerStats {
   uint64_t completed = 0;          // futures fulfilled with Ok
   uint64_t coalesced_groups = 0;   // ExplainBatch calls with >= 2 requests
   uint64_t coalesced_instances = 0;
-  uint64_t legacy_requests = 0;    // served via the sequential ExplainAll path
   uint64_t warm_pool_hits = 0;     // pool hits after the warmup window
   uint64_t warm_pool_misses = 0;   // pool misses after the warmup window
   size_t queue_depth = 0;
@@ -170,7 +164,7 @@ class ExplanationServer {
   };
   // Services the oldest queue entry on the calling thread: answers it
   // DeadlineExceeded if it expired in the queue, otherwise runs it —
-  // extended, when coalescing is on, with the consecutive run of same-
+  // extended, when coalesce_limit > 1, with the consecutive run of same-
   // (method, model, objective) requests behind it (one ExplainBatch call,
   // which mega-batches per PR 6). Returns zeros when the queue is empty.
   RunOnceResult RunOnce();
@@ -203,6 +197,9 @@ class ExplanationServer {
   void FinishTimedOut(std::unique_ptr<PendingRequest> pending, int64_t now_nanos);
   void FinishCancelled(std::unique_ptr<PendingRequest> pending);
   void RunGroup(std::vector<std::unique_ptr<PendingRequest>> group, int64_t dequeue_nanos);
+  // The body of RunOnce and WorkerLoop for an item already popped off the
+  // queue: deadline check, then coalesce-and-run.
+  RunOnceResult ServeItem(const QueueItem& item);
   void WorkerLoop();
   void UpdateDepthGauge();
 
@@ -232,7 +229,7 @@ class ExplanationServer {
   struct Totals {
     std::atomic<uint64_t> submitted{0}, accepted{0}, rejected_full{0}, rejected_invalid{0},
         rejected_shutdown{0}, timed_out{0}, cancelled{0}, completed{0}, coalesced_groups{0},
-        coalesced_instances{0}, legacy_requests{0}, warm_pool_hits{0}, warm_pool_misses{0};
+        coalesced_instances{0}, warm_pool_hits{0}, warm_pool_misses{0};
   };
   Totals totals_;
 

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/bf16.h"
 #include "tensor/op_helpers.h"
 #include "tensor/record.h"
 #include "tensor/simd.h"
@@ -195,7 +194,6 @@ Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row) {
   if (rec::Recording()) {
     rec::Record("AddRowBroadcast", out, {matrix.node(), row.node()}, run);
   }
-  bf16::MaybePackOutput(out.get());
   AttachBackward(out, {matrix, row}, [](TensorNode* o) {
     TensorNode* mn = o->parents[0].get();
     TensorNode* rn = o->parents[1].get();
@@ -331,7 +329,6 @@ Tensor Relu(const Tensor& a) {
   if (rec::Recording()) {
     rec::RecordElementwise("Relu", out, {a.node()}, out->numel(), chunk);
   }
-  bf16::MaybePackOutput(out.get());
   AttachBackward(out, {a}, [](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
     if (!an->requires_grad) return;
@@ -371,7 +368,6 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
   if (rec::Recording()) {
     rec::RecordElementwise("LeakyRelu", out, {a.node()}, out->numel(), chunk);
   }
-  bf16::MaybePackOutput(out.get());
   AttachBackward(out, {a}, [negative_slope](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
     if (!an->requires_grad) return;
@@ -405,7 +401,6 @@ Tensor Tanh(const Tensor& a) {
   if (rec::Recording()) {
     rec::RecordElementwise("Tanh", out, {a.node()}, out->numel(), chunk);
   }
-  bf16::MaybePackOutput(out.get());
   AttachBackward(out, {a}, [](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
     if (!an->requires_grad) return;
@@ -438,7 +433,6 @@ Tensor Sigmoid(const Tensor& a) {
   if (rec::Recording()) {
     rec::RecordElementwise("Sigmoid", out, {a.node()}, out->numel(), chunk);
   }
-  bf16::MaybePackOutput(out.get());
   AttachBackward(out, {a}, [](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
     if (!an->requires_grad) return;
@@ -561,26 +555,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   static obs::Counter* calls = obs::MetricsRegistry::Global().GetCounter("tensor.matmul.calls");
   static obs::Counter* flops = obs::MetricsRegistry::Global().GetCounter("tensor.matmul.flops");
   static obs::Counter* bytes = obs::MetricsRegistry::Global().GetCounter("tensor.matmul.bytes");
-  static obs::Counter* input_bytes =
-      obs::MetricsRegistry::Global().GetCounter("tensor.matmul.input_bytes");
-  // bf16 eval tier (tensor/bf16.h): inside an EvalScope, grad-free operands
-  // with a packed mirror are read at half width. Never taken while recording
-  // (replayed tapes must stay f32-exact) or when a gradient is needed.
-  const uint16_t* ap = nullptr;
-  const uint16_t* bp = nullptr;
-  if (bf16::EvalScope::Active() && !rec::Recording() && !a.requires_grad() &&
-      !b.requires_grad()) {
-    ap = bf16::PackedOperand(a.node().get());
-    bp = bf16::PackedOperand(b.node().get());
-  }
   calls->Increment();
   flops->Add(uint64_t{2} * n * k * m);
-  // Input traffic at the width actually read (2 bytes for bf16-packed
-  // operands, 4 for f32) — the counter the bf16-halving bench gate watches.
-  const uint64_t in_bytes = (ap != nullptr ? 2u : 4u) * uint64_t{1} * n * k +
-                            (bp != nullptr ? 2u : 4u) * uint64_t{1} * k * m;
-  input_bytes->Add(in_bytes);
-  bytes->Add(in_bytes + sizeof(float) * uint64_t{1} * n * m);
+  bytes->Add(sizeof(float) * (uint64_t{1} * n * k + uint64_t{1} * k * m + uint64_t{1} * n * m));
   auto out = NewNodeUninit(n, m);
   // ikj loop order: unit-stride inner loop. Rows of the output are
   // independent, so the i loop is partitioned across threads. Each chunk
@@ -590,18 +567,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const float* bv = b.values().data();
   float* ov = out->values.data();
   const int64_t row_flops = int64_t{2} * k * m;
-  if (ap != nullptr || bp != nullptr) {
-    // Inference-only mixed-precision path: f32 accumulate, bf16 operands
-    // widened on the fly in-register. No recording, no backward.
-    util::ParallelFor(0, n, RowGrain(row_flops),
-                      [av, ap, bv, bp, ov, k, m](int64_t ib, int64_t ie) {
-                        simd::MatMulRowsMixed(ap ? nullptr : av, ap, bp ? nullptr : bv, bp, ov,
-                                              ib, ie, k, m);
-                      });
-    simd::CountSweep(static_cast<int64_t>(n) * m);
-    bf16::MaybePackOutput(out.get());
-    return Tensor::FromNode(out);
-  }
   auto run = [av, bv, ov, n, k, m, row_flops]() {
     util::ParallelFor(0, n, RowGrain(row_flops), [av, bv, ov, k, m](int64_t ib, int64_t ie) {
       if (simd::Enabled()) {
@@ -625,7 +590,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   if (rec::Recording()) {
     rec::Record("MatMul", out, {a.node(), b.node()}, run);
   }
-  bf16::MaybePackOutput(out.get());
   AttachBackward(out, {a, b}, [n, k, m](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
     TensorNode* bn = o->parents[1].get();

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -38,13 +37,6 @@ struct VecF32 {
   void Store(float* p) const { _mm256_storeu_ps(p, v); }
   static VecF32 Broadcast(float s) { return {_mm256_set1_ps(s)}; }
   static VecF32 Zero() { return {_mm256_setzero_ps()}; }
-  // Widening load of kWidth bf16 values (zero-extend into the high half of
-  // each f32 lane — exact).
-  static VecF32 LoadBf16(const uint16_t* p) {
-    const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    const __m256i wide = _mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16);
-    return {_mm256_castsi256_ps(wide)};
-  }
   friend VecF32 operator+(VecF32 a, VecF32 b) { return {_mm256_add_ps(a.v, b.v)}; }
   friend VecF32 operator-(VecF32 a, VecF32 b) { return {_mm256_sub_ps(a.v, b.v)}; }
   friend VecF32 operator*(VecF32 a, VecF32 b) { return {_mm256_mul_ps(a.v, b.v)}; }
@@ -67,10 +59,6 @@ struct VecF32 {
   void Store(float* p) const { vst1q_f32(p, v); }
   static VecF32 Broadcast(float s) { return {vdupq_n_f32(s)}; }
   static VecF32 Zero() { return {vdupq_n_f32(0.0f)}; }
-  static VecF32 LoadBf16(const uint16_t* p) {
-    const uint32x4_t wide = vshll_n_u16(vld1_u16(p), 16);
-    return {vreinterpretq_f32_u32(wide)};
-  }
   friend VecF32 operator+(VecF32 a, VecF32 b) { return {vaddq_f32(a.v, b.v)}; }
   friend VecF32 operator-(VecF32 a, VecF32 b) { return {vsubq_f32(a.v, b.v)}; }
   friend VecF32 operator*(VecF32 a, VecF32 b) { return {vmulq_f32(a.v, b.v)}; }
@@ -92,7 +80,6 @@ struct VecF32 {
   void Store(float* p) const { *p = v; }
   static VecF32 Broadcast(float s) { return {s}; }
   static VecF32 Zero() { return {0.0f}; }
-  static VecF32 LoadBf16(const uint16_t* p);  // defined after Bf16Bits below
   friend VecF32 operator+(VecF32 a, VecF32 b) { return {a.v + b.v}; }
   friend VecF32 operator-(VecF32 a, VecF32 b) { return {a.v - b.v}; }
   friend VecF32 operator*(VecF32 a, VecF32 b) { return {a.v * b.v}; }
@@ -105,31 +92,6 @@ struct VecF32 {
 #endif
 
 constexpr int kW = VecF32::kWidth;
-
-// Scalar bf16 -> f32: the packed value is the high half of the f32 bits.
-inline float WidenOneBf16(uint16_t u) {
-  const uint32_t bits = static_cast<uint32_t>(u) << 16;
-  float f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
-}
-
-#if !defined(REVELIO_SIMD_ISA_AVX2) && !defined(REVELIO_SIMD_ISA_NEON)
-inline VecF32 VecF32::LoadBf16(const uint16_t* p) { return {WidenOneBf16(*p)}; }
-#endif
-
-// Operand loaders for the mixed-precision matmul: one of the two pointers is
-// null, and the loader widens bf16 lanes on the fly.
-struct LoadF32 {
-  const float* p;
-  VecF32 Vec(int64_t i) const { return VecF32::Load(p + i); }
-  float Scalar(int64_t i) const { return p[i]; }
-};
-struct LoadBf16Op {
-  const uint16_t* p;
-  VecF32 Vec(int64_t i) const { return VecF32::LoadBf16(p + i); }
-  float Scalar(int64_t i) const { return WidenOneBf16(p[i]); }
-};
 
 bool SimdDefault() {
   if (kW == 1) return false;  // no vector tier compiled in
@@ -350,12 +312,11 @@ float DotF32(const float* a, const float* b, int64_t n) {
 
 namespace {
 
-// Shared implementation: per output row, j-tiles of 4 (then 1) vectors are
-// held in registers across the whole kk loop, so each output element folds
-// its products in ascending-kk order — the scalar accumulation order — while
-// rows of b stream through with unit stride.
-template <typename ALoad, typename BLoad>
-void MatMulRowsImpl(const ALoad& a, const BLoad& b, float* o, int64_t ib, int64_t ie, int k,
+// Per output row, j-tiles of 4 (then 1) vectors are held in registers
+// across the whole kk loop, so each output element folds its products in
+// ascending-kk order — the scalar accumulation order — while rows of b stream
+// through with unit stride.
+void MatMulRowsImpl(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
                     int m) {
   for (int64_t i = ib; i < ie; ++i) {
     const int64_t abase = i * k;
@@ -367,14 +328,14 @@ void MatMulRowsImpl(const ALoad& a, const BLoad& b, float* o, int64_t ib, int64_
       VecF32 acc2 = VecF32::Zero();
       VecF32 acc3 = VecF32::Zero();
       for (int kk = 0; kk < k; ++kk) {
-        const float aik = a.Scalar(abase + kk);
+        const float aik = a[abase + kk];
         if (aik == 0.0f) continue;
         const VecF32 av = VecF32::Broadcast(aik);
         const int64_t bbase = static_cast<int64_t>(kk) * m + j;
-        acc0 = acc0 + av * b.Vec(bbase);
-        acc1 = acc1 + av * b.Vec(bbase + kW);
-        acc2 = acc2 + av * b.Vec(bbase + 2 * kW);
-        acc3 = acc3 + av * b.Vec(bbase + 3 * kW);
+        acc0 = acc0 + av * VecF32::Load(b + bbase);
+        acc1 = acc1 + av * VecF32::Load(b + bbase + kW);
+        acc2 = acc2 + av * VecF32::Load(b + bbase + 2 * kW);
+        acc3 = acc3 + av * VecF32::Load(b + bbase + 3 * kW);
       }
       acc0.Store(orow + j);
       acc1.Store(orow + j + kW);
@@ -384,18 +345,18 @@ void MatMulRowsImpl(const ALoad& a, const BLoad& b, float* o, int64_t ib, int64_
     for (; j + kW <= m; j += kW) {
       VecF32 acc = VecF32::Zero();
       for (int kk = 0; kk < k; ++kk) {
-        const float aik = a.Scalar(abase + kk);
+        const float aik = a[abase + kk];
         if (aik == 0.0f) continue;
-        acc = acc + VecF32::Broadcast(aik) * b.Vec(static_cast<int64_t>(kk) * m + j);
+        acc = acc + VecF32::Broadcast(aik) * VecF32::Load(b + static_cast<int64_t>(kk) * m + j);
       }
       acc.Store(orow + j);
     }
     for (; j < m; ++j) {
       float acc = 0.0f;
       for (int kk = 0; kk < k; ++kk) {
-        const float aik = a.Scalar(abase + kk);
+        const float aik = a[abase + kk];
         if (aik == 0.0f) continue;
-        acc += aik * b.Scalar(static_cast<int64_t>(kk) * m + j);
+        acc += aik * b[static_cast<int64_t>(kk) * m + j];
       }
       orow[j] = acc;
     }
@@ -430,7 +391,7 @@ VecF32 GradATile(const float* grow, const float* bt, int k, int m, std::index_se
 
 void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
                    int m) {
-  MatMulRowsImpl(LoadF32{a}, LoadF32{b}, o, ib, ie, k, m);
+  MatMulRowsImpl(a, b, o, ib, ie, k, m);
 }
 
 void MatMulGradARowsF32(const float* g, const float* b, const float* bt, float* ga, int64_t ib,
@@ -459,50 +420,6 @@ void MatMulGradBRowsF32(const float* g, const float* a, float* gb, int64_t kb, i
       AxpyF32(aik, grow, gb + static_cast<size_t>(kk) * m, m);
     }
   }
-}
-
-// --- bf16 kernels -----------------------------------------------------------
-
-void AxpyBf16(float a, const uint16_t* x, float* y, int64_t n) {
-  const VecF32 av = VecF32::Broadcast(a);
-  int64_t i = 0;
-  for (; i + kW <= n; i += kW) (VecF32::Load(y + i) + av * VecF32::LoadBf16(x + i)).Store(y + i);
-  for (; i < n; ++i) y[i] += a * WidenOneBf16(x[i]);
-}
-
-void MatMulRowsMixed(const float* a32, const uint16_t* a16, const float* b32,
-                     const uint16_t* b16, float* o, int64_t ib, int64_t ie, int k, int m) {
-  if (a16 != nullptr && b16 != nullptr) {
-    MatMulRowsImpl(LoadBf16Op{a16}, LoadBf16Op{b16}, o, ib, ie, k, m);
-  } else if (a16 != nullptr) {
-    MatMulRowsImpl(LoadBf16Op{a16}, LoadF32{b32}, o, ib, ie, k, m);
-  } else if (b16 != nullptr) {
-    MatMulRowsImpl(LoadF32{a32}, LoadBf16Op{b16}, o, ib, ie, k, m);
-  } else {
-    MatMulRowsImpl(LoadF32{a32}, LoadF32{b32}, o, ib, ie, k, m);
-  }
-}
-
-void PackBf16(const float* src, uint16_t* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    uint32_t bits;
-    std::memcpy(&bits, src + i, sizeof(bits));
-    if ((bits & 0x7fffffffu) > 0x7f800000u) {
-      // NaN: keep sign and the high payload bits, force a quiet mantissa bit
-      // so payloads that live only in the low half don't collapse to Inf.
-      dst[i] = static_cast<uint16_t>((bits >> 16) | 0x0040u);
-      continue;
-    }
-    // Round to nearest even: add 0x7fff plus the parity of the kept LSB.
-    bits += 0x7fffu + ((bits >> 16) & 1u);
-    dst[i] = static_cast<uint16_t>(bits >> 16);
-  }
-}
-
-void WidenBf16(const uint16_t* src, float* dst, int64_t n) {
-  int64_t i = 0;
-  for (; i + kW <= n; i += kW) VecF32::LoadBf16(src + i).Store(dst + i);
-  for (; i < n; ++i) dst[i] = WidenOneBf16(src[i]);
 }
 
 }  // namespace revelio::tensor::simd

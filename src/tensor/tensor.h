@@ -45,11 +45,6 @@ struct TensorNode {
   std::vector<float> grad;  // allocated on demand, same size as values
   bool requires_grad = false;
 
-  // bf16-packed mirror of `values` for inference-only eval passes
-  // (tensor/bf16.h); null when absent. Every in-place mutation of `values`
-  // must drop it via bf16::InvalidatePacked.
-  std::shared_ptr<const std::vector<uint16_t>> bf16_values;
-
   // Upstream nodes this node was computed from (empty for leaves).
   std::vector<std::shared_ptr<TensorNode>> parents;
 

@@ -95,9 +95,6 @@ std::string Tolerance::Name() const {
       if (abs_epsilon > 0.0) out << ",abs<=" << abs_epsilon;
       out << ")";
       break;
-    case ToleranceClass::kStatedEpsilon:
-      out << "stated-epsilon(rel=" << rel_epsilon << ",abs=" << abs_epsilon << ")";
-      break;
   }
   return out.str();
 }
@@ -126,16 +123,6 @@ std::string CompareFloatStreams(const float* actual, const float* expected, int6
         ok = ulps <= tol.max_ulps ||
              (!std::isnan(a) && !std::isnan(e) &&
               std::abs(static_cast<double>(a) - static_cast<double>(e)) <= tol.abs_epsilon);
-        break;
-      case ToleranceClass::kStatedEpsilon:
-        if (std::isnan(e)) {
-          ok = std::isnan(a);
-        } else if (std::isinf(e)) {
-          ok = a == e;
-        } else {
-          ok = std::abs(static_cast<double>(a) - static_cast<double>(e)) <=
-               tol.abs_epsilon + tol.rel_epsilon * std::abs(static_cast<double>(e));
-        }
         break;
     }
     if (ok) continue;

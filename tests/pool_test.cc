@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,6 +213,62 @@ TEST_F(PoolTest, RevelioSteadyStateRunsWithZeroPoolMisses) {
   EXPECT_EQ(miss_counter->Total(), obs_misses_before)
       << "tensor.pool.miss advanced during a steady-state explanation";
   obs::SetEnabled(obs_was_enabled);
+}
+
+// Pool accounting across a mega-batch: every buffer the group's explanation
+// builds (the mega-graph features included) comes from the pool, so what the
+// pool retains afterwards never exceeds its in-use high-water mark, and the
+// trim on scope exit drops no size class the next identical batch needs. The
+// scenario runs on a fresh thread, whose pool starts with zeroed accounting.
+TEST_F(PoolTest, ExplainBatchRetainsAtMostPeakAndRepeatsWithZeroMisses) {
+  std::thread([] {
+    util::Rng rng(23);
+    const int n = 12;
+    graph::Graph g(n);
+    for (int v = 0; v < n; ++v) g.AddUndirectedEdge(v, (v + 1) % n);
+    g.AddEdge(0, 6);
+    g.AddEdge(4, 9);
+    gnn::GnnConfig config;
+    config.arch = gnn::GnnArch::kGcn;
+    config.task = gnn::TaskType::kNodeClassification;
+    config.input_dim = 5;
+    config.hidden_dim = 8;
+    config.num_classes = 2;
+    config.seed = 24;
+    gnn::GnnModel model(config);
+    model.Freeze();
+    constexpr int kTasks = 8;
+    std::vector<explain::ExplanationTask> tasks(kTasks);
+    std::vector<const explain::ExplanationTask*> pointers;
+    for (int i = 0; i < kTasks; ++i) {
+      tasks[i].model = &model;
+      tasks[i].graph = &g;
+      tasks[i].features = Tensor::Uniform(n, 5, -1.0f, 1.0f, &rng);
+      tasks[i].target_node = i;
+      tasks[i].target_class = i % 2;
+      pointers.push_back(&tasks[i]);
+    }
+    core::RevelioOptions options;
+    options.epochs = 4;
+    core::RevelioExplainer explainer(options);
+    TensorPool* pool = TensorPool::ThreadLocal();
+
+    const std::vector<explain::Explanation> first =
+        explainer.ExplainBatch(pointers, explain::Objective::kFactual);
+    ASSERT_EQ(first.size(), static_cast<size_t>(kTasks));
+    EXPECT_LE(pool->stats().bytes_retained, pool->stats().bytes_peak)
+        << "the pool parks more bytes than were ever in use";
+
+    const PoolStats before = pool->stats();
+    const std::vector<explain::Explanation> second =
+        explainer.ExplainBatch(pointers, explain::Objective::kFactual);
+    const PoolStats after = pool->stats();
+    EXPECT_EQ(after.misses - before.misses, 0u)
+        << "an identical second batch allocated: the first batch's trim dropped buffers it "
+           "needs";
+    EXPECT_GT(after.hits, before.hits);
+    for (int i = 0; i < kTasks; ++i) EXPECT_EQ(first[i].edge_scores, second[i].edge_scores);
+  }).join();
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Dense-reference differential for the GNN layers: GCN / GIN / GAT forward
 // and backward are checked against a naive dense-adjacency matmul reference
-// built from the layers' own parameters. The real layers aggregate with
-// gather / row-scale / scatter-add / segment-softmax; the reference routes
-// the same math through dense MatMul / RowSoftmax, so any indexing or
-// accumulation bug in the sparse message-passing path shows up as a
-// divergence from the obviously-right dense formulation.
+// built from the layers' own parameters. The real layers aggregate with the
+// fused CSR SpMM (plus gather / segment-softmax for GAT attention); the
+// reference routes the same math through dense MatMul / RowSoftmax, so any
+// indexing or accumulation bug in the sparse message-passing path shows up as
+// a divergence from the obviously-right dense formulation.
 
 #include <cmath>
 #include <cstdint>
@@ -30,20 +30,6 @@ constexpr int kInDim = 5;
 constexpr int kOutDim = 6;
 constexpr double kRtol = 5e-4;
 constexpr double kAtol = 5e-5;
-
-// Forces the aggregation dispatch for one pass; every layer case below runs
-// against the dense reference under BOTH the fused SpMM path and the legacy
-// gather/scatter chain.
-class FusedModeGuard {
- public:
-  explicit FusedModeGuard(bool enabled) : saved_(gnn::FusedAggregationEnabled()) {
-    gnn::SetFusedAggregation(enabled);
-  }
-  ~FusedModeGuard() { gnn::SetFusedAggregation(saved_); }
-
- private:
-  bool saved_;
-};
 
 struct LayerCase {
   GraphSpec spec;
@@ -192,15 +178,10 @@ TEST(DenseReferenceTest, GcnLayerMatchesDenseAdjacency) {
             },
             s.h, params, s.weight_seed);
 
-        for (const bool fused : {true, false}) {
-          FusedModeGuard guard(fused);
-          PassResult real = RunPass(
-              [&] { return layer.Forward(s.graph, s.edges, s.h, s.mask); }, s.h, params,
-              s.weight_seed);
-          const std::string failure = ComparePasses(real, ref);
-          if (!failure.empty()) return std::string(fused ? "fused: " : "legacy: ") + failure;
-        }
-        return "";
+        PassResult real = RunPass(
+            [&] { return layer.Forward(s.graph, s.edges, s.h, s.mask); }, s.h, params,
+            s.weight_seed);
+        return ComparePasses(real, ref);
       },
       util::DefaultPropConfig(60));
   EXPECT_TRUE(result.ok) << result.report;
@@ -230,15 +211,10 @@ TEST(DenseReferenceTest, GinLayerMatchesDenseAdjacency) {
             },
             s.h, params, s.weight_seed);
 
-        for (const bool fused : {true, false}) {
-          FusedModeGuard guard(fused);
-          PassResult real = RunPass(
-              [&] { return layer.Forward(s.graph, s.edges, s.h, s.mask); }, s.h, params,
-              s.weight_seed);
-          const std::string failure = ComparePasses(real, ref);
-          if (!failure.empty()) return std::string(fused ? "fused: " : "legacy: ") + failure;
-        }
-        return "";
+        PassResult real = RunPass(
+            [&] { return layer.Forward(s.graph, s.edges, s.h, s.mask); }, s.h, params,
+            s.weight_seed);
+        return ComparePasses(real, ref);
       },
       util::DefaultPropConfig(60));
   EXPECT_TRUE(result.ok) << result.report;
@@ -313,15 +289,10 @@ TEST(DenseReferenceTest, GatLayerMatchesDenseAttention) {
               },
               s.h, params, s.weight_seed);
 
-          for (const bool fused : {true, false}) {
-            FusedModeGuard guard(fused);
-            PassResult real = RunPass(
-                [&] { return layer.Forward(s.graph, s.edges, s.h, s.mask); }, s.h, params,
-                s.weight_seed);
-            const std::string failure = ComparePasses(real, ref);
-            if (!failure.empty()) return std::string(fused ? "fused: " : "legacy: ") + failure;
-          }
-          return "";
+          PassResult real = RunPass(
+              [&] { return layer.Forward(s.graph, s.edges, s.h, s.mask); }, s.h, params,
+              s.weight_seed);
+          return ComparePasses(real, ref);
         },
         util::DefaultPropConfig(40));
     EXPECT_TRUE(result.ok) << result.report;

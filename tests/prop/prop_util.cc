@@ -581,6 +581,61 @@ void ReferenceMatMulGradARows(const float* g, const float* b, float* ga, int n, 
   }
 }
 
+namespace {
+
+Tensor ChainAggregate(const gnn::LayerEdgeSet& edges, const Tensor& scale, const Tensor& h) {
+  return tensor::ScatterAddRows(tensor::RowScale(tensor::GatherRows(h, edges.src), scale),
+                                edges.dst, edges.num_nodes);
+}
+
+}  // namespace
+
+Tensor ReferenceChainLayerForward(const gnn::GnnLayer& layer, const graph::Graph& graph,
+                                  const gnn::LayerEdgeSet& edges, const Tensor& h,
+                                  const Tensor& edge_mask) {
+  const int m = edges.num_layer_edges();
+  if (const auto* gcn = dynamic_cast<const gnn::GcnLayer*>(&layer)) {
+    Tensor hw = gcn->linear().Forward(h);
+    Tensor scale = Tensor::FromData(m, 1, gcn->Coefficients(graph, edges));
+    if (edge_mask.defined()) scale = tensor::Mul(scale, edge_mask);
+    return tensor::AddRowBroadcast(ChainAggregate(edges, scale, hw), gcn->bias());
+  }
+  if (const auto* gin = dynamic_cast<const gnn::GinLayer*>(&layer)) {
+    std::vector<float> coefficients(static_cast<size_t>(m), 1.0f);
+    for (int e = edges.num_base_edges; e < m; ++e) coefficients[e] = 1.0f + gin->eps();
+    Tensor scale = Tensor::FromData(m, 1, std::move(coefficients));
+    if (edge_mask.defined()) scale = tensor::Mul(scale, edge_mask);
+    return gin->mlp_second().Forward(
+        tensor::Relu(gin->mlp_first().Forward(ChainAggregate(edges, scale, h))));
+  }
+  const auto* gat = dynamic_cast<const gnn::GatLayer*>(&layer);
+  CHECK(gat != nullptr) << "ReferenceChainLayerForward: unsupported layer type";
+  Tensor combined;
+  for (int k = 0; k < gat->num_heads(); ++k) {
+    Tensor wh = gat->head_projection(k).Forward(h);
+    Tensor score_src = tensor::MatMul(wh, gat->attention_src(k));
+    Tensor score_dst = tensor::MatMul(wh, gat->attention_dst(k));
+    Tensor edge_logits = tensor::LeakyRelu(
+        tensor::Add(tensor::GatherRows(score_src, edges.src),
+                    tensor::GatherRows(score_dst, edges.dst)),
+        0.2f);
+    Tensor attention = tensor::SegmentSoftmax(edge_logits, edges.dst, edges.num_nodes);
+    Tensor scale = edge_mask.defined() ? tensor::Mul(attention, edge_mask) : attention;
+    Tensor head_out = ChainAggregate(edges, scale, wh);
+    if (!combined.defined()) {
+      combined = head_out;
+    } else if (gat->concat()) {
+      combined = tensor::ConcatCols(combined, head_out);
+    } else {
+      combined = tensor::Add(combined, head_out);
+    }
+  }
+  if (!gat->concat() && gat->num_heads() > 1) {
+    combined = tensor::MulScalar(combined, 1.0f / static_cast<float>(gat->num_heads()));
+  }
+  return tensor::AddRowBroadcast(combined, gat->bias());
+}
+
 core::RevelioExplainer::FlowExplanation ReferenceRevelioFlows(
     const explain::ExplanationTask& task, Objective objective,
     const core::RevelioOptions& options) {

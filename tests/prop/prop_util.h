@@ -8,6 +8,8 @@
 //  - an op-harness registry with one or more (shape, inputs, forward) cases
 //    per registered tensor op, reused by the gradcheck and the
 //    parallel-vs-serial differential suites,
+//  - the chain-aggregation layer forward the spmm equivalence suite diffs
+//    the fused layers against,
 //  - the reference mask learners the mask-driver equivalence suites diff
 //    against.
 //
@@ -24,6 +26,8 @@
 #include "core/revelio.h"
 #include "explain/explainer.h"
 #include "explain/gnnexplainer.h"
+#include "gnn/layer_edges.h"
+#include "gnn/layers.h"
 #include "graph/graph.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -250,6 +254,18 @@ double OpCaseMaxGradError(const OpCase& c, uint64_t value_seed, std::string* det
 // for rows [0, n). g is n x m, b is k x m, ga is n x k, all row-major. The
 // tiled kernel must reproduce it bit for bit.
 void ReferenceMatMulGradARows(const float* g, const float* b, float* ga, int n, int k, int m);
+
+// ---------------------------------------------------------------------------
+// Layer references
+// ---------------------------------------------------------------------------
+
+// `layer`'s forward (a gnn::GcnLayer, GinLayer or GatLayer) on its own
+// parameters, with each aggregation done by the Gather -> RowScale ->
+// ScatterAdd chain that the fused SpMM replaced. The layers must match it
+// bitwise in the forward pass.
+Tensor ReferenceChainLayerForward(const gnn::GnnLayer& layer, const graph::Graph& graph,
+                                  const gnn::LayerEdgeSet& edges, const Tensor& h,
+                                  const Tensor& edge_mask);
 
 // ---------------------------------------------------------------------------
 // Reference mask learners

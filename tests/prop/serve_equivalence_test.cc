@@ -1,6 +1,6 @@
 // Serving-path equivalence: pushing a workload through the explanation
-// server — any worker count, any coalescing setting, the legacy fallback
-// loop, any arrival interleaving across models — is a pure scheduling
+// server — any worker count, any coalescing limit (1 runs every request
+// alone), any arrival interleaving across models — is a pure scheduling
 // change. Every response must be BITWISE-equal (edge scores, flow scores,
 // top-k flow rankings) to batch eval::ExplainAll over the same tasks: the
 // same contract the mega-batch and pool suites pin for their layers.
@@ -118,6 +118,10 @@ void ExpectBitwiseEqual(const explain::Explanation& expected,
   }
 }
 
+// coalesce_limit settings: the default group size, and 1 (no coalescing).
+constexpr int kCoalesce = 8;
+constexpr int kAlone = 1;
+
 class ServeEquivalenceTest : public ::testing::Test {
  protected:
   ServeEquivalenceTest() {
@@ -144,15 +148,13 @@ class ServeEquivalenceTest : public ::testing::Test {
   // Serves every task through a fresh server with the given scheduling
   // configuration and compares each response to the reference, index by
   // index.
-  void RunConfiguration(int workers, bool coalesce, bool legacy,
-                        explain::Objective objective,
+  void RunConfiguration(int workers, int coalesce_limit, explain::Objective objective,
                         const std::vector<explain::Explanation>& reference,
                         const std::string& context) {
     serve::ServeOptions options;
     options.queue_capacity = tasks_.size();
     options.num_workers = workers > 0 ? workers : 1;
-    options.coalesce = coalesce;
-    options.legacy_loop = legacy;
+    options.coalesce_limit = coalesce_limit;
     serve::ExplanationServer server(&registry_, options);
     server.RegisterExplainer("Revelio", eval::MakeExplainer("Revelio", ExplainerConfig()));
     if (workers > 0) server.Start();
@@ -192,24 +194,21 @@ TEST_F(ServeEquivalenceTest, ServedResultsMatchBatchExplainAllBitwise) {
     ASSERT_FALSE(expected.edge_scores.empty());
   }
   // Synchronous drain (no workers), with and without coalescing.
-  RunConfiguration(0, true, false, explain::Objective::kFactual, reference,
-                   "sync+coalesce");
-  RunConfiguration(0, false, false, explain::Objective::kFactual, reference,
-                   "sync");
+  RunConfiguration(0, kCoalesce, explain::Objective::kFactual, reference, "sync+coalesce");
+  RunConfiguration(0, kAlone, explain::Objective::kFactual, reference, "sync");
   // Real worker threads racing over the admission queue.
-  RunConfiguration(2, true, false, explain::Objective::kFactual, reference,
+  RunConfiguration(2, kCoalesce, explain::Objective::kFactual, reference,
                    "workers=2+coalesce");
-  RunConfiguration(2, false, false, explain::Objective::kFactual, reference,
-                   "workers=2");
-  // Legacy fallback: every request through sequential eval::ExplainAll.
-  RunConfiguration(1, true, true, explain::Objective::kFactual, reference,
-                   "legacy");
+  RunConfiguration(2, kAlone, explain::Objective::kFactual, reference, "workers=2");
+  // One worker, every request its own Explain call: the sequential order
+  // eval::ExplainAll itself runs in.
+  RunConfiguration(1, kAlone, explain::Objective::kFactual, reference, "workers=1 alone");
 }
 
 TEST_F(ServeEquivalenceTest, CounterfactualObjectiveMatchesToo) {
   const std::vector<explain::Explanation> reference =
       Reference(explain::Objective::kCounterfactual);
-  RunConfiguration(2, true, false, explain::Objective::kCounterfactual, reference,
+  RunConfiguration(2, kCoalesce, explain::Objective::kCounterfactual, reference,
                    "cf workers=2+coalesce");
 }
 
@@ -224,9 +223,9 @@ TEST_F(ServeEquivalenceTest, ExecPlanOnAndOffServeBitwiseEqualResponses) {
   for (const bool plan_on : {true, false}) {
     plan::SetExecPlanEnabled(plan_on);
     const std::string context = std::string("exec_plan=") + (plan_on ? "on" : "off");
-    RunConfiguration(0, true, false, explain::Objective::kFactual, reference,
+    RunConfiguration(0, kCoalesce, explain::Objective::kFactual, reference,
                      context + " sync+coalesce");
-    RunConfiguration(2, false, false, explain::Objective::kFactual, reference,
+    RunConfiguration(2, kAlone, explain::Objective::kFactual, reference,
                      context + " workers=2");
   }
   plan::SetExecPlanEnabled(true);

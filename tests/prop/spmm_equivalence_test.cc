@@ -2,15 +2,17 @@
 // the fused kernels (tensor::SpmmCsr*) must reproduce the legacy
 // Gather -> RowScale -> ScatterAdd chain bit for bit — forward AND backward —
 // across seeded graphs, thread counts {1, 2, 7, 16}, and masked/unmasked
-// edge weights. Layer-level cases flip the gnn::SetFusedAggregation toggle on
-// real GCN/GIN/GAT layers (forward bitwise; gradients bitwise where the
-// autograd traversal order is shared, else <= 1e-6 relative). A dedicated
+// edge weights. Layer-level cases diff real GCN/GIN/GAT layers against
+// proptest::ReferenceChainLayerForward, the same layer math with chain
+// aggregation (forward bitwise; gradients bitwise where the autograd
+// traversal order is shared, else <= 1e-6 relative). A dedicated
 // group mutates graphs (RemoveEdges / AddEdge) after warming the cached CSR
 // view, so a stale pattern shows up as a fused-vs-chain divergence.
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,21 +37,7 @@ constexpr int kFeatDim = 5;
 
 class SpmmEquivalenceTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    util::SetNumThreads(1);
-    gnn::SetFusedAggregation(true);
-  }
-};
-
-class FusedModeGuard {
- public:
-  explicit FusedModeGuard(bool enabled) : saved_(gnn::FusedAggregationEnabled()) {
-    gnn::SetFusedAggregation(enabled);
-  }
-  ~FusedModeGuard() { gnn::SetFusedAggregation(saved_); }
-
- private:
-  bool saved_;
+  void TearDown() override { util::SetNumThreads(1); }
 };
 
 bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
@@ -243,7 +231,7 @@ TEST_F(SpmmEquivalenceTest, SumAndMeanFusedMatchChainBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer-level: real GCN/GIN/GAT under the dispatch toggle
+// Layer-level: real GCN/GIN/GAT vs the chain-aggregation reference
 // ---------------------------------------------------------------------------
 
 struct LayerPass {
@@ -251,13 +239,12 @@ struct LayerPass {
   std::vector<std::vector<float>> grads;
 };
 
-LayerPass RunLayerPass(const gnn::GnnLayer& layer, const graph::Graph& g,
-                       const gnn::LayerEdgeSet& edges, Tensor h, const Tensor& mask,
-                       uint64_t loss_seed) {
+LayerPass RunLayerPass(const std::function<Tensor()>& forward, const gnn::GnnLayer& layer,
+                       Tensor h, uint64_t loss_seed) {
   h.ZeroGrad();
   const std::vector<Tensor> params = layer.Parameters();
   for (Tensor p : params) p.ZeroGrad();
-  Tensor out = layer.Forward(g, edges, h, mask);
+  Tensor out = forward();
   util::Rng wrng(loss_seed);
   Tensor weights = Tensor::Uniform(out.rows(), out.cols(), 0.5f, 1.5f, &wrng);
   tensor::Sum(tensor::Mul(out, weights)).Backward();
@@ -271,12 +258,12 @@ LayerPass RunLayerPass(const gnn::GnnLayer& layer, const graph::Graph& g,
 // Forward must be bitwise; gradients may legitimately differ by accumulation
 // order when a tensor feeds several ops (GAT's per-head projection), so they
 // get a 1e-6 relative budget — bitwise equality trivially passes it.
-std::string CompareLayerPasses(const LayerPass& fused, const LayerPass& legacy) {
-  if (!BitwiseEqual(fused.output, legacy.output)) return "forward output not bitwise-equal";
-  if (fused.grads.size() != legacy.grads.size()) return "gradient count mismatch";
+std::string CompareLayerPasses(const LayerPass& fused, const LayerPass& chain) {
+  if (!BitwiseEqual(fused.output, chain.output)) return "forward output not bitwise-equal";
+  if (fused.grads.size() != chain.grads.size()) return "gradient count mismatch";
   for (size_t i = 0; i < fused.grads.size(); ++i) {
     std::vector<float> a = fused.grads[i];
-    std::vector<float> b = legacy.grads[i];
+    std::vector<float> b = chain.grads[i];
     if (a.empty()) a.assign(b.size(), 0.0f);
     if (b.empty()) b.assign(a.size(), 0.0f);
     if (a.size() != b.size()) return "grad " + std::to_string(i) + " size mismatch";
@@ -286,15 +273,15 @@ std::string CompareLayerPasses(const LayerPass& fused, const LayerPass& legacy) 
                                    std::fabs(static_cast<double>(b[k]))});
       if (rel > 1e-6) {
         return "grad " + std::to_string(i) + "[" + std::to_string(k) + "]: fused " +
-               std::to_string(a[k]) + " vs legacy " + std::to_string(b[k]);
+               std::to_string(a[k]) + " vs chain " + std::to_string(b[k]);
       }
     }
   }
   return "";
 }
 
-std::string CheckLayerFusedVsLegacy(const gnn::GnnLayer& layer, const graph::Graph& g,
-                                    const gnn::LayerEdgeSet& edges, const EqCase& c) {
+std::string CheckLayerFusedVsChain(const gnn::GnnLayer& layer, const graph::Graph& g,
+                                   const gnn::LayerEdgeSet& edges, const EqCase& c) {
   util::Rng rng(c.seed ^ 0xab1e);
   Tensor h = proptest::RandLeaf(rng, g.num_nodes(), layer.in_dim());
   Tensor mask;
@@ -308,22 +295,18 @@ std::string CheckLayerFusedVsLegacy(const gnn::GnnLayer& layer, const graph::Gra
   const uint64_t loss_seed = c.seed ^ 0x70a57ULL;
   for (const int threads : kThreadCounts) {
     util::SetNumThreads(threads);
-    LayerPass fused_pass, legacy_pass;
-    {
-      FusedModeGuard guard(true);
-      fused_pass = RunLayerPass(layer, g, edges, h, mask, loss_seed);
-    }
-    {
-      FusedModeGuard guard(false);
-      legacy_pass = RunLayerPass(layer, g, edges, h, mask, loss_seed);
-    }
-    const std::string failure = CompareLayerPasses(fused_pass, legacy_pass);
+    const LayerPass fused_pass = RunLayerPass(
+        [&] { return layer.Forward(g, edges, h, mask); }, layer, h, loss_seed);
+    const LayerPass chain_pass = RunLayerPass(
+        [&] { return proptest::ReferenceChainLayerForward(layer, g, edges, h, mask); }, layer,
+        h, loss_seed);
+    const std::string failure = CompareLayerPasses(fused_pass, chain_pass);
     if (!failure.empty()) return failure + " at threads=" + std::to_string(threads);
   }
   return "";
 }
 
-TEST_F(SpmmEquivalenceTest, GcnLayerFusedMatchesLegacy) {
+TEST_F(SpmmEquivalenceTest, GcnLayerFusedMatchesChain) {
   const util::CheckResult result = util::ForAll<EqCase>(
       "spmm-eq:gcn", EqCaseDomain(1, 9, /*allow_empty=*/false),
       [](const EqCase& c) -> std::string {
@@ -331,13 +314,13 @@ TEST_F(SpmmEquivalenceTest, GcnLayerFusedMatchesLegacy) {
         const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(g);
         util::Rng layer_rng(c.seed ^ 0x6c6cULL);
         gnn::GcnLayer layer(kFeatDim, 6, &layer_rng, /*normalize=*/true);
-        return CheckLayerFusedVsLegacy(layer, g, edges, c);
+        return CheckLayerFusedVsChain(layer, g, edges, c);
       },
       util::DefaultPropConfig(40));
   EXPECT_TRUE(result.ok) << result.report;
 }
 
-TEST_F(SpmmEquivalenceTest, GinLayerFusedMatchesLegacy) {
+TEST_F(SpmmEquivalenceTest, GinLayerFusedMatchesChain) {
   const util::CheckResult result = util::ForAll<EqCase>(
       "spmm-eq:gin", EqCaseDomain(1, 9, /*allow_empty=*/false),
       [](const EqCase& c) -> std::string {
@@ -345,13 +328,13 @@ TEST_F(SpmmEquivalenceTest, GinLayerFusedMatchesLegacy) {
         const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(g);
         util::Rng layer_rng(c.seed ^ 0x9191ULL);
         gnn::GinLayer layer(kFeatDim, 6, &layer_rng, /*eps=*/0.3f);
-        return CheckLayerFusedVsLegacy(layer, g, edges, c);
+        return CheckLayerFusedVsChain(layer, g, edges, c);
       },
       util::DefaultPropConfig(40));
   EXPECT_TRUE(result.ok) << result.report;
 }
 
-TEST_F(SpmmEquivalenceTest, GatLayerFusedMatchesLegacy) {
+TEST_F(SpmmEquivalenceTest, GatLayerFusedMatchesChain) {
   const util::CheckResult result = util::ForAll<EqCase>(
       "spmm-eq:gat", EqCaseDomain(1, 9, /*allow_empty=*/false),
       [](const EqCase& c) -> std::string {
@@ -360,7 +343,7 @@ TEST_F(SpmmEquivalenceTest, GatLayerFusedMatchesLegacy) {
         util::Rng layer_rng(c.seed ^ 0x9a79a7ULL);
         const bool concat = (c.seed & 1) == 0;
         gnn::GatLayer layer(kFeatDim, 6, /*num_heads=*/2, concat, &layer_rng);
-        return CheckLayerFusedVsLegacy(layer, g, edges, c);
+        return CheckLayerFusedVsChain(layer, g, edges, c);
       },
       util::DefaultPropConfig(40));
   EXPECT_TRUE(result.ok) << result.report;

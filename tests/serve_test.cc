@@ -165,7 +165,7 @@ TEST_F(ServeTest, QueueFullRejectionIsExplicit) {
 
 TEST_F(ServeTest, DeadlineExpiryMidQueueSkipsTheExplainer) {
   ServeOptions options;
-  options.coalesce = false;  // isolate the deadline-at-dequeue path
+  options.coalesce_limit = 1;  // isolate the deadline-at-dequeue path
   auto server = MakeServer(options);
 
   auto ok_req = server->TrySubmit(MakeRequest("m1"));
@@ -256,7 +256,7 @@ TEST_F(ServeTest, ShutdownCancelAnswersTheBacklogCancelled) {
 TEST_F(ServeTest, ShutdownCancelLetsInFlightWorkComplete) {
   ServeOptions options;
   options.num_workers = 1;
-  options.coalesce = false;  // keep the two requests as separate dequeues
+  options.coalesce_limit = 1;  // keep the two requests as separate dequeues
   auto server = MakeServer(options);
   fake_->SetGated();
   server->Start();
@@ -402,7 +402,7 @@ TEST_F(ServeTest, BlockingSubmitAppliesBackpressure) {
   ServeOptions options;
   options.queue_capacity = 1;
   options.num_workers = 1;
-  options.coalesce = false;
+  options.coalesce_limit = 1;
   auto server = MakeServer(options);
   fake_->SetGated();
   server->Start();
@@ -484,7 +484,7 @@ ExplainRequest MakeRevelioRequest(const std::string& model, uint64_t seed) {
 TEST_F(ServeTest, PlanVersionBumpMidDrainReRecordsWithIdenticalResults) {
   ServeOptions options;
   options.queue_capacity = 8;
-  options.coalesce = false;
+  options.coalesce_limit = 1;
   options.explainer_epochs = 6;
   options.seed = 99;
 
