@@ -22,10 +22,11 @@
 // just that sweep (with `--quick` sizes when combined); `--pool-out FILE`
 // overrides its output path.
 //
-// A fourth sweep (`--simd-sweep`, writes BENCH_simd.json) times the scalar
-// loops against the SIMD tier (tensor/simd.h) at 1 thread — interleaved
-// min-of-N over elementwise/matmul/SpMM. `--simd-out FILE` overrides its
-// output path.
+// A fourth sweep (`--simd-sweep`, writes BENCH_simd.json) times the
+// tensor/simd.h kernels against their serial scalar references
+// (tests/prop/prop_util) at 1 thread — interleaved min-of-N over the
+// elementwise chain, MatMulRowsF32 and AxpyF32 over an SpMM CSR.
+// `--simd-out FILE` overrides its output path.
 
 #include <benchmark/benchmark.h>
 
@@ -44,6 +45,7 @@
 #include "gnn/model.h"
 #include "obs/metrics.h"
 #include "plan/plan.h"
+#include "prop/prop_util.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
 #include "tensor/simd.h"
@@ -702,37 +704,54 @@ void RunPoolSweepAndReport(bool quick, const std::string& out_path) {
 struct SimdPoint {
   std::string kernel;
   int64_t elements = 0;         // flat work size, used to pick the largest point
-  double scalar_seconds = 0.0;  // REVELIO_SIMD=0 path
+  double scalar_seconds = 0.0;  // serial scalar reference kernels
   double simd_seconds = 0.0;
   double simd_speedup = 0.0;
-  bool bitwise_equal = false;  // SIMD output vs scalar output (forward only)
+  bool bitwise_equal = false;  // simd kernel output vs reference output
 };
 
-// Interleaved min-of-N A/B timing of `run` with the SIMD toggle off vs on,
-// at 1 thread: alternating per trial cancels frequency drift on a loaded
-// single-core host, min-of-trials cancels scheduler noise.
+// The kernels a sweep point runs: the tensor/simd.h kernels, or their serial
+// scalar references (proptest::scalar_ref, tests/prop/prop_util).
+struct KernelSet {
+  void (*add)(const float*, const float*, float*, int64_t);
+  void (*mul)(const float*, const float*, float*, int64_t);
+  void (*relu)(const float*, float*, int64_t);
+  void (*matmul_rows)(const float*, const float*, float*, int64_t, int64_t, int, int);
+  void (*axpy)(float, const float*, float*, int64_t);
+};
+
+constexpr KernelSet kSimdKernels = {tensor::simd::AddF32, tensor::simd::MulF32,
+                                    tensor::simd::ReluF32, tensor::simd::MatMulRowsF32,
+                                    tensor::simd::AxpyF32};
+constexpr KernelSet kScalarKernels = {
+    proptest::scalar_ref::AddF32, proptest::scalar_ref::MulF32, proptest::scalar_ref::ReluF32,
+    proptest::scalar_ref::MatMulRowsF32, proptest::scalar_ref::AxpyF32};
+
+// Interleaved min-of-N A/B timing of `run(kernels, out)` with the reference
+// kernels vs the simd kernels, each writing `out_size` floats: alternating
+// per trial cancels frequency drift on a loaded host, min-of-trials cancels
+// scheduler noise.
 template <typename Fn>
-void TimeScalarVsSimd(Fn run, int reps, SimdPoint* point) {
-  constexpr int kTrials = 5;
-  auto time_reps = [&run, reps] {
+void TimeScalarVsSimd(Fn run, size_t out_size, int reps, SimdPoint* point) {
+  constexpr int kTrials = 15;
+  std::vector<float> out(out_size);
+  auto time_reps = [&run, &out, reps](const KernelSet& kernels) {
     util::Timer timer;
     for (int r = 0; r < reps; ++r) {
-      tensor::Tensor out = run();
-      benchmark::DoNotOptimize(out);
+      run(kernels, out.data());
+      benchmark::ClobberMemory();
     }
     return timer.ElapsedSeconds();
   };
+  run(kScalarKernels, out.data());
+  const std::vector<float> scalar_out = out;
+  run(kSimdKernels, out.data());
+  point->bitwise_equal = out == scalar_out;  // also warms both arms
   point->scalar_seconds = std::numeric_limits<double>::infinity();
   point->simd_seconds = std::numeric_limits<double>::infinity();
-  tensor::simd::SetEnabled(false);
-  const std::vector<float> scalar_out = run().values();
-  tensor::simd::SetEnabled(true);
-  point->bitwise_equal = run().values() == scalar_out;  // also warms both paths
   for (int trial = 0; trial < kTrials; ++trial) {
-    tensor::simd::SetEnabled(false);
-    point->scalar_seconds = std::min(point->scalar_seconds, time_reps());
-    tensor::simd::SetEnabled(true);
-    point->simd_seconds = std::min(point->simd_seconds, time_reps());
+    point->scalar_seconds = std::min(point->scalar_seconds, time_reps(kScalarKernels));
+    point->simd_seconds = std::min(point->simd_seconds, time_reps(kSimdKernels));
   }
   point->scalar_seconds /= reps;
   point->simd_seconds /= reps;
@@ -740,50 +759,62 @@ void TimeScalarVsSimd(Fn run, int reps, SimdPoint* point) {
       point->simd_seconds > 0.0 ? point->scalar_seconds / point->simd_seconds : 0.0;
 }
 
-// Scalar-vs-SIMD on the three kernel families the explanation hot path is
-// made of. Sizes are L1/L2-resident on purpose: explanation training and
-// fidelity probes work on small-graph tensors (KBs to a few MB); DRAM-bound
-// sizes would only measure memory bandwidth.
+// Reference-vs-simd on the three kernel families the explanation hot path is
+// made of, called directly on raw buffers at 1 thread. Sizes are L1/L2-
+// resident on purpose: explanation training and fidelity probes work on
+// small-graph tensors (KBs to a few MB); DRAM-bound sizes would only measure
+// memory bandwidth.
 void RunSimdSweep(bool quick, std::vector<SimdPoint>* points) {
-  util::SetNumThreads(1);
+  util::SetNumThreads(1);  // the kernels run on the calling thread
   util::Rng rng(41);
+  auto randn = [&rng](int64_t n) {
+    return tensor::Tensor::Randn(static_cast<int>(n), 1, &rng).values();
+  };
 
   // Elementwise: the fused plan-replay chunk shape (add -> mul -> relu).
   const std::vector<int64_t> ew_sizes =
       quick ? std::vector<int64_t>{1 << 12, 1 << 16} : std::vector<int64_t>{1 << 12, 1 << 18};
   for (const int64_t n : ew_sizes) {
-    tensor::Tensor a = tensor::Tensor::Randn(static_cast<int>(n / 64), 64, &rng);
-    tensor::Tensor b = tensor::Tensor::Randn(static_cast<int>(n / 64), 64, &rng);
+    const std::vector<float> a = randn(n);
+    const std::vector<float> b = randn(n);
+    std::vector<float> t(n);
     SimdPoint point;
     point.kernel = "elementwise_" + std::to_string(n);
     point.elements = n;
     const int reps = static_cast<int>(std::max<int64_t>(1, (1 << 22) / n));
-    TimeScalarVsSimd([&] { return tensor::Relu(tensor::Mul(tensor::Add(a, b), a)); }, reps,
-                     &point);
+    TimeScalarVsSimd(
+        [&](const KernelSet& k, float* out) {
+          k.add(a.data(), b.data(), t.data(), n);
+          k.mul(t.data(), a.data(), t.data(), n);
+          k.relu(t.data(), out, n);
+        },
+        n, reps, &point);
     points->push_back(point);
   }
 
   // MatMul forward (n = k = m).
   const std::vector<int> mm_sizes = quick ? std::vector<int>{48, 96} : std::vector<int>{64, 160};
   for (const int n : mm_sizes) {
-    tensor::Tensor a = tensor::Tensor::Randn(n, n, &rng);
-    tensor::Tensor b = tensor::Tensor::Randn(n, n, &rng);
+    const std::vector<float> a = randn(int64_t{n} * n);
+    const std::vector<float> b = randn(int64_t{n} * n);
     SimdPoint point;
     point.kernel = "matmul_" + std::to_string(n);
     point.elements = int64_t{1} * n * n * n;
     const int reps = static_cast<int>(std::max<int64_t>(1, (1 << 24) / point.elements));
-    TimeScalarVsSimd([&] { return tensor::MatMul(a, b); }, reps, &point);
+    TimeScalarVsSimd(
+        [&](const KernelSet& k, float* out) { k.matmul_rows(a.data(), b.data(), out, 0, n, n, n); },
+        static_cast<size_t>(n) * n, reps, &point);
     points->push_back(point);
   }
 
-  // SpMM forward (per-edge axpy over the feature row).
+  // SpMM forward: a zeroed output row plus one weighted axpy per CSR nonzero.
   const std::vector<int> spmm_edges =
       quick ? std::vector<int>{1 << 11, 1 << 13} : std::vector<int>{1 << 12, 1 << 15};
   for (const int edges : spmm_edges) {
     const int nodes = edges / 4 + 1;
     const int dim = 32;
-    tensor::Tensor x = tensor::Tensor::Randn(nodes, dim, &rng);
-    tensor::Tensor w = tensor::Tensor::Uniform(edges, 1, 0.2f, 1.5f, &rng);
+    const std::vector<float> x = randn(int64_t{nodes} * dim);
+    const std::vector<float> w = tensor::Tensor::Uniform(edges, 1, 0.2f, 1.5f, &rng).values();
     std::vector<int> dst(edges), src(edges);
     for (int e = 0; e < edges; ++e) {
       dst[e] = rng.UniformInt(nodes);
@@ -794,11 +825,21 @@ void RunSimdSweep(bool quick, std::vector<SimdPoint>* points) {
     point.kernel = "spmm_" + std::to_string(edges) + "x" + std::to_string(dim);
     point.elements = int64_t{1} * edges * dim;
     const int reps = static_cast<int>(std::max<int64_t>(1, (1 << 22) / point.elements));
-    TimeScalarVsSimd([&] { return tensor::SpmmCsrWeighted(pattern, w, x); }, reps, &point);
+    TimeScalarVsSimd(
+        [&](const KernelSet& k, float* out) {
+          const tensor::CsrPattern& p = *pattern;
+          for (int j = 0; j < p.num_rows; ++j) {
+            float* out_row = out + static_cast<size_t>(j) * dim;
+            std::fill(out_row, out_row + dim, 0.0f);
+            for (int e = p.row_ptr[j]; e < p.row_ptr[j + 1]; ++e) {
+              k.axpy(w[p.edge_idx[e]], x.data() + static_cast<size_t>(p.col_idx[e]) * dim,
+                     out_row, dim);
+            }
+          }
+        },
+        static_cast<size_t>(nodes) * dim, reps, &point);
     points->push_back(point);
   }
-
-  tensor::simd::SetEnabled(tensor::simd::Lanes() > 1);
 }
 
 void WriteSimdJson(const std::vector<SimdPoint>& points, const std::string& path) {
@@ -832,7 +873,7 @@ void WriteSimdJson(const std::vector<SimdPoint>& points, const std::string& path
 }
 
 void RunSimdSweepAndReport(bool quick, const std::string& out_path) {
-  std::printf("== scalar vs SIMD sweep, 1 thread, %s/%d lanes (writes %s) ==\n",
+  std::printf("== scalar reference vs SIMD kernels, 1 thread, %s/%d lanes (writes %s) ==\n",
               tensor::simd::IsaName(), tensor::simd::Lanes(), out_path.c_str());
   std::vector<SimdPoint> points;
   RunSimdSweep(quick, &points);

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification ladder: tier-1 -> property suites -> ASan -> UBSan -> TSan.
+# Full verification ladder: tier-1 -> property suites -> scalar ISA -> ASan ->
+# UBSan -> TSan.
 # The property stage includes the fused-SpMM equivalence suite
 # (spmm_equivalence_test), the mega-batch equivalence suite
 # (megabatch_equivalence_test, which diffs the mask driver against the
@@ -9,11 +10,14 @@
 # backward, or the level-parallel plan executor is attributed directly. The
 # pool and plan stages rerun their equivalence suites under ASan with
 # REVELIO_POISON_POOL=1 so full-overwrite contract violations surface as NaNs,
-# and the simd stage does the same for the SIMD equivalence suite: any
-# vector sweep that over-reads past a tensor's end or treats a poisoned pooled
-# buffer as data trips ASan or the tolerance check respectively. (UBSan covers
-# the intrinsic wrappers too — simd.cc is in the instrumented smoke set, so
-# misaligned or out-of-range lane arithmetic fails the ubsan stage.)
+# and the simd stage runs the SIMD kernel suite under ASan: its operand
+# buffers end at the last element, so any vector sweep that over-reads past n
+# trips ASan. (UBSan covers the intrinsic wrappers too — simd.cc is in the
+# instrumented smoke set, so misaligned or out-of-range lane arithmetic fails
+# the ubsan stage.) The scalar stage builds the one-lane kernels
+# (REVELIO_SIMD_ISA=scalar), the only path on hosts without AVX2 or NEON, and
+# runs tier-1 and the property suites on them; there the kernel diff is
+# bitwise for every kernel, DotF32 included.
 #
 # Usage: scripts/check.sh [--fast] [-j N]
 #   --fast   skip the sanitizer stages (tier1 + prop only)
@@ -79,6 +83,8 @@ run_stage "bench-diff" python3 scripts/bench_diff.py
 run_stage "san-smoke"  ctest --test-dir build -L san --output-on-failure
 
 if [[ "${FAST}" -eq 0 ]]; then
+  run_stage "scalar-build" build_preset scalar
+  run_stage "scalar"      ctest --preset scalar
   run_stage "asan-build"  build_preset asan
   run_stage "asan"        ctest --preset asan
   # Pool equivalence again under ASan with NaN-poisoned recycled buffers: any
@@ -93,8 +99,9 @@ if [[ "${FAST}" -eq 0 ]]; then
   # NaN in megabatch_equivalence_test; edge_cases_test covers its
   # finite-output check on hostile features.
   run_stage "plan"        env REVELIO_POISON_POOL=1 ctest --preset asan -R "plan_equivalence_test|plan_test|megabatch_equivalence_test|edge_cases_test"
-  # SIMD equivalence under ASan with NaN-poisoned recycled buffers: the
-  # vector sweeps must never read past n (the scalar tail owns the remainder).
+  # SIMD kernel suite under ASan (with NaN-poisoned recycled buffers for its
+  # op-level cases): the vector sweeps must never read past n (the scalar
+  # tail owns the remainder).
   run_stage "simd"        env REVELIO_POISON_POOL=1 ctest --preset asan -R "simd_equivalence_test"
   run_stage "ubsan-build" build_preset ubsan
   run_stage "ubsan"       ctest --preset ubsan

@@ -29,11 +29,6 @@ std::atomic<bool>& ExecPlanFlag() {
   return flag;
 }
 
-std::atomic<bool>& PlanFuseFlag() {
-  static std::atomic<bool> flag(EnvFlagDefault("REVELIO_PLAN_FUSE"));
-  return flag;
-}
-
 std::atomic<uint64_t>& GlobalVersionCounter() {
   static std::atomic<uint64_t> version(1);
   return version;
@@ -64,12 +59,6 @@ void SetExecPlanEnabled(bool enabled) {
   ExecPlanFlag().store(enabled, std::memory_order_relaxed);
 }
 
-bool PlanFuseEnabled() { return PlanFuseFlag().load(std::memory_order_relaxed); }
-
-void SetPlanFuseEnabled(bool enabled) {
-  PlanFuseFlag().store(enabled, std::memory_order_relaxed);
-}
-
 uint64_t GlobalPlanVersion() {
   return GlobalVersionCounter().load(std::memory_order_relaxed);
 }
@@ -78,7 +67,7 @@ void BumpGlobalPlanVersion() {
   GlobalVersionCounter().fetch_add(1, std::memory_order_relaxed);
 }
 
-std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape, bool fuse) {
+std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape) {
   CHECK(tape != nullptr);
   auto plan = std::make_unique<Plan>();
   const auto& ops = tape->ops;
@@ -92,7 +81,7 @@ std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape, bool fuse) {
   while (i < n) {
     PlanStep step;
     step.op_indices.push_back(i);
-    if (fuse && ops[i].chunk) {
+    if (ops[i].chunk) {
       int j = i + 1;
       while (j < n && ops[j].chunk && ops[j].numel == ops[i].numel) {
         step.op_indices.push_back(j);
@@ -158,7 +147,7 @@ void PlanSession::Seal(const tensor::Tensor& root, PlanKey key) {
   root_ = root;
   key_ = std::move(key);
   global_version_ = GlobalPlanVersion();
-  plan_ = BuildPlan(&tape_, PlanFuseEnabled());
+  plan_ = BuildPlan(&tape_);
   backward_order_.clear();
   grad_nodes_.clear();
   if (root.node()->requires_grad) {

@@ -14,12 +14,10 @@
 // exact order Tensor::Backward would compute — so a replayed epoch is
 // bitwise-identical to an eager one at any thread count.
 //
-// Toggles:
-//   REVELIO_EXEC_PLAN=0  (env) or SetExecPlanEnabled(false): the mask
-//     driver (explain/mask_driver.h) runs fully eager, bitwise-identical.
-//   REVELIO_PLAN_FUSE=0  (env) or SetPlanFuseEnabled(false): plans replay
-//     op-by-op without elementwise fusion (fusion is bitwise-neutral; the
-//     switch isolates it for debugging and benchmarks).
+// Toggle: REVELIO_EXEC_PLAN=0 (env) or SetExecPlanEnabled(false) makes the
+// mask driver (explain/mask_driver.h) run fully eager, bitwise-identical.
+// Replay always fuses; fusion is bitwise-neutral (tests/prop/
+// plan_equivalence_test diffs fused replay against eager).
 //
 // Re-record triggers: a PlanKey mismatch (graph structure version, shapes,
 // flow counts) or a BumpGlobalPlanVersion() call (fault injection, global
@@ -35,11 +33,9 @@
 
 namespace revelio::plan {
 
-// Process-wide switches (relaxed atomics; defaults read the environment once).
+// Process-wide switch (relaxed atomic; the default reads the environment once).
 bool ExecPlanEnabled();
 void SetExecPlanEnabled(bool enabled);
-bool PlanFuseEnabled();
-void SetPlanFuseEnabled(bool enabled);
 
 // Monotone global invalidation epoch. Bumping it invalidates every sealed
 // plan in the process at its next Replay() — the hook fault injection and
@@ -77,7 +73,7 @@ class Plan {
   int fused_ops() const { return fused_ops_; }
 
  private:
-  friend std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape, bool fuse);
+  friend std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape);
 
   std::vector<PlanStep> steps_;
   std::vector<std::vector<int>> levels_;
@@ -86,9 +82,9 @@ class Plan {
 };
 
 // Compiles a recorded tape: fuses maximal runs of consecutive same-extent
-// elementwise ops (when `fuse`) and assigns dependence levels. The tape must
-// outlive the plan (steps index into it).
-std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape, bool fuse);
+// elementwise ops and assigns dependence levels. The tape must outlive the
+// plan (steps index into it).
+std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape);
 
 // Owns one training loop's recorded tape, compiled plan, and cached backward
 // order. Usage per epoch:

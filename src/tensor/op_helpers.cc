@@ -63,11 +63,7 @@ void AccumulateInto(TensorNode* target, const std::vector<float>& grad, float sc
   float* t = target->grad.data();
   util::ParallelFor(0, static_cast<int64_t>(grad.size()), kElementwiseGrain,
                     [g, t, scale](int64_t begin, int64_t end) {
-                      if (simd::Enabled()) {
-                        simd::MulAccF32(g + begin, scale, t + begin, end - begin);
-                        return;
-                      }
-                      for (int64_t i = begin; i < end; ++i) t[i] += scale * g[i];
+                      simd::MulAccF32(g + begin, scale, t + begin, end - begin);
                     });
 }
 

@@ -23,12 +23,11 @@
 // scratch state is reset inside the lambda. obs spans/counters stay outside
 // the recorded closure: replay is on the hot path and must not re-count.
 //
-// SIMD (DESIGN.md §13): chunk bodies dispatch to the tensor/simd.h kernels
-// when simd::Enabled(), falling back to the scalar loops below otherwise.
-// The dispatch lives INSIDE the chunk lambdas, so recorded tapes honor the
-// runtime toggle on replay and fused elementwise chains vectorize through
-// the same kernels. Vectorized bodies are bitwise-equal to the scalar loops
-// (mul-then-add per element in the same order) except the dot-product
+// SIMD (DESIGN.md §13): chunk bodies call the tensor/simd.h kernels, the
+// only body each op has; the build picks their lane width. Fused elementwise
+// chains on plan replay run the same kernels. Every kernel is bitwise-equal
+// to a serial scalar loop (mul-then-add per element in the same order; the
+// reference loops live in tests/prop/prop_util) except the dot-product
 // reductions in MatMul's dA, flagged below, which are ulp-bounded.
 // Transcendental forwards (Tanh/Sigmoid/Exp/Log/Softplus) stay scalar: libm
 // is not lane-invariant, and they are compute- not bandwidth-bound.
@@ -74,14 +73,10 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   const float* bv = b.values().data();
   float* ov = out->values.data();
   auto chunk = [av, bv, ov](int64_t begin, int64_t end) {
-    if (simd::Enabled()) {
-      simd::AddF32(av + begin, bv + begin, ov + begin, end - begin);
-      return;
-    }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] + bv[i];
+    simd::AddF32(av + begin, bv + begin, ov + begin, end - begin);
   };
   ElementwiseFor(out->numel(), chunk);
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Add", out, {a.node(), b.node()}, out->numel(), chunk);
   }
@@ -99,14 +94,10 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   const float* bv = b.values().data();
   float* ov = out->values.data();
   auto chunk = [av, bv, ov](int64_t begin, int64_t end) {
-    if (simd::Enabled()) {
-      simd::SubF32(av + begin, bv + begin, ov + begin, end - begin);
-      return;
-    }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] - bv[i];
+    simd::SubF32(av + begin, bv + begin, ov + begin, end - begin);
   };
   ElementwiseFor(out->numel(), chunk);
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Sub", out, {a.node(), b.node()}, out->numel(), chunk);
   }
@@ -124,14 +115,10 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   const float* bv = b.values().data();
   float* ov = out->values.data();
   auto chunk = [av, bv, ov](int64_t begin, int64_t end) {
-    if (simd::Enabled()) {
-      simd::MulF32(av + begin, bv + begin, ov + begin, end - begin);
-      return;
-    }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] * bv[i];
+    simd::MulF32(av + begin, bv + begin, ov + begin, end - begin);
   };
   ElementwiseFor(out->numel(), chunk);
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Mul", out, {a.node(), b.node()}, out->numel(), chunk);
   }
@@ -145,11 +132,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       float* ga = an->grad.data();
       const float* bv = bn->values.data();
       ElementwiseFor(n, [g, ga, bv](int64_t begin, int64_t end) {
-        if (simd::Enabled()) {
-          simd::MulPairAccF32(g + begin, bv + begin, ga + begin, end - begin);
-          return;
-        }
-        for (int64_t i = begin; i < end; ++i) ga[i] += g[i] * bv[i];
+        simd::MulPairAccF32(g + begin, bv + begin, ga + begin, end - begin);
       });
     }
     if (bn->requires_grad) {
@@ -157,11 +140,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       float* gb = bn->grad.data();
       const float* av = an->values.data();
       ElementwiseFor(n, [g, gb, av](int64_t begin, int64_t end) {
-        if (simd::Enabled()) {
-          simd::MulPairAccF32(g + begin, av + begin, gb + begin, end - begin);
-          return;
-        }
-        for (int64_t i = begin; i < end; ++i) gb[i] += g[i] * av[i];
+        simd::MulPairAccF32(g + begin, av + begin, gb + begin, end - begin);
       });
     }
   });
@@ -181,16 +160,12 @@ Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row) {
     util::ParallelFor(0, rows, RowGrain(cols), [mv, rv, ov, cols](int64_t rb, int64_t re) {
       for (int64_t r = rb; r < re; ++r) {
         const size_t base = static_cast<size_t>(r) * cols;
-        if (simd::Enabled()) {
-          simd::AddF32(mv + base, rv, ov + base, cols);
-          continue;
-        }
-        for (int c = 0; c < cols; ++c) ov[base + c] = mv[base + c] + rv[c];
+        simd::AddF32(mv + base, rv, ov + base, cols);
       }
     });
   };
   run();
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::Record("AddRowBroadcast", out, {matrix.node(), row.node()}, run);
   }
@@ -223,14 +198,10 @@ Tensor AddScalar(const Tensor& a, float s) {
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov, s](int64_t begin, int64_t end) {
-    if (simd::Enabled()) {
-      simd::AddScalarF32(av + begin, s, ov + begin, end - begin);
-      return;
-    }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] + s;
+    simd::AddScalarF32(av + begin, s, ov + begin, end - begin);
   };
   ElementwiseFor(out->numel(), chunk);
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("AddScalar", out, {a.node()}, out->numel(), chunk);
   }
@@ -244,14 +215,10 @@ Tensor MulScalar(const Tensor& a, float s) {
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov, s](int64_t begin, int64_t end) {
-    if (simd::Enabled()) {
-      simd::MulScalarF32(av + begin, s, ov + begin, end - begin);
-      return;
-    }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] * s;
+    simd::MulScalarF32(av + begin, s, ov + begin, end - begin);
   };
   ElementwiseFor(out->numel(), chunk);
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("MulScalar", out, {a.node()}, out->numel(), chunk);
   }
@@ -272,14 +239,10 @@ Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& scalar) {
   const float* sv = scalar.values().data();
   auto chunk = [av, ov, sv](int64_t begin, int64_t end) {
     const float s = sv[0];
-    if (simd::Enabled()) {
-      simd::MulScalarF32(av + begin, s, ov + begin, end - begin);
-      return;
-    }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] * s;
+    simd::MulScalarF32(av + begin, s, ov + begin, end - begin);
   };
   ElementwiseFor(out->numel(), chunk);
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("ScaleByScalarTensor", out, {a.node(), scalar.node()}, out->numel(),
                            chunk);
@@ -294,11 +257,7 @@ Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& scalar) {
       an->EnsureGrad();
       float* ga = an->grad.data();
       ElementwiseFor(n, [g, ga, s](int64_t begin, int64_t end) {
-        if (simd::Enabled()) {
-          simd::MulAccF32(g + begin, s, ga + begin, end - begin);
-          return;
-        }
-        for (int64_t i = begin; i < end; ++i) ga[i] += g[i] * s;
+        simd::MulAccF32(g + begin, s, ga + begin, end - begin);
       });
     }
     if (sn->requires_grad) {
@@ -318,14 +277,10 @@ Tensor Relu(const Tensor& a) {
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov](int64_t begin, int64_t end) {
-    if (simd::Enabled()) {
-      simd::ReluF32(av + begin, ov + begin, end - begin);
-      return;
-    }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] > 0.0f ? av[i] : 0.0f;
+    simd::ReluF32(av + begin, ov + begin, end - begin);
   };
   ElementwiseFor(out->numel(), chunk);
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Relu", out, {a.node()}, out->numel(), chunk);
   }
@@ -338,13 +293,7 @@ Tensor Relu(const Tensor& a) {
     float* ga = an->grad.data();
     ElementwiseFor(static_cast<int64_t>(o->grad.size()),
                    [g, av, ga](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::ReluGradAccF32(g + begin, av + begin, ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) {
-                       if (av[i] > 0.0f) ga[i] += g[i];
-                     }
+                     simd::ReluGradAccF32(g + begin, av + begin, ga + begin, end - begin);
                    });
   });
   return Tensor::FromNode(out);
@@ -355,16 +304,10 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov, negative_slope](int64_t begin, int64_t end) {
-    if (simd::Enabled()) {
-      simd::LeakyReluF32(av + begin, negative_slope, ov + begin, end - begin);
-      return;
-    }
-    for (int64_t i = begin; i < end; ++i) {
-      ov[i] = av[i] > 0.0f ? av[i] : negative_slope * av[i];
-    }
+    simd::LeakyReluF32(av + begin, negative_slope, ov + begin, end - begin);
   };
   ElementwiseFor(out->numel(), chunk);
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("LeakyRelu", out, {a.node()}, out->numel(), chunk);
   }
@@ -377,14 +320,8 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
     float* ga = an->grad.data();
     ElementwiseFor(static_cast<int64_t>(o->grad.size()),
                    [g, av, ga, negative_slope](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::LeakyReluGradAccF32(g + begin, av + begin, negative_slope,
-                                                 ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) {
-                       ga[i] += g[i] * (av[i] > 0.0f ? 1.0f : negative_slope);
-                     }
+                     simd::LeakyReluGradAccF32(g + begin, av + begin, negative_slope,
+                                               ga + begin, end - begin);
                    });
   });
   return Tensor::FromNode(out);
@@ -410,13 +347,7 @@ Tensor Tanh(const Tensor& a) {
     float* ga = an->grad.data();
     ElementwiseFor(static_cast<int64_t>(o->grad.size()),
                    [g, ov, ga](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::TanhGradAccF32(g + begin, ov + begin, ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) {
-                       ga[i] += g[i] * (1.0f - ov[i] * ov[i]);
-                     }
+                     simd::TanhGradAccF32(g + begin, ov + begin, ga + begin, end - begin);
                    });
   });
   return Tensor::FromNode(out);
@@ -442,13 +373,7 @@ Tensor Sigmoid(const Tensor& a) {
     float* ga = an->grad.data();
     ElementwiseFor(static_cast<int64_t>(o->grad.size()),
                    [g, ov, ga](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::SigmoidGradAccF32(g + begin, ov + begin, ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) {
-                       ga[i] += g[i] * ov[i] * (1.0f - ov[i]);
-                     }
+                     simd::SigmoidGradAccF32(g + begin, ov + begin, ga + begin, end - begin);
                    });
   });
   return Tensor::FromNode(out);
@@ -474,11 +399,7 @@ Tensor Exp(const Tensor& a) {
     float* ga = an->grad.data();
     ElementwiseFor(static_cast<int64_t>(o->grad.size()),
                    [g, ov, ga](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::MulPairAccF32(g + begin, ov + begin, ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) ga[i] += g[i] * ov[i];
+                     simd::MulPairAccF32(g + begin, ov + begin, ga + begin, end - begin);
                    });
   });
   return Tensor::FromNode(out);
@@ -569,24 +490,11 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const int64_t row_flops = int64_t{2} * k * m;
   auto run = [av, bv, ov, n, k, m, row_flops]() {
     util::ParallelFor(0, n, RowGrain(row_flops), [av, bv, ov, k, m](int64_t ib, int64_t ie) {
-      if (simd::Enabled()) {
-        simd::MatMulRowsF32(av, bv, ov, ib, ie, k, m);
-        return;
-      }
-      for (int64_t i = ib; i < ie; ++i) {
-        float* orow = ov + static_cast<size_t>(i) * m;
-        std::fill(orow, orow + m, 0.0f);
-        for (int kk = 0; kk < k; ++kk) {
-          const float aik = av[static_cast<size_t>(i) * k + kk];
-          if (aik == 0.0f) continue;
-          const float* brow = bv + static_cast<size_t>(kk) * m;
-          for (int j = 0; j < m; ++j) orow[j] += aik * brow[j];
-        }
-      }
+      simd::MatMulRowsF32(av, bv, ov, ib, ie, k, m);
     });
   };
   run();
-  if (simd::Enabled()) simd::CountSweep(static_cast<int64_t>(n) * m);
+  simd::CountSweep(static_cast<int64_t>(n) * m);
   if (rec::Recording()) {
     rec::Record("MatMul", out, {a.node(), b.node()}, run);
   }
@@ -596,34 +504,18 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     const float* g = o->grad.data();
     const int64_t row_flops = int64_t{2} * k * m;
     if (an->requires_grad) {
-      // dA = G * B^T. dA rows are independent -> partition over i. The
-      // scalar loop takes dot products against rows of B; the SIMD path
-      // transposes B once, before the split, and runs register tiles whose
-      // lanes reduce exactly like DotF32: ulp-bounded against the scalar
-      // loop, not bitwise (the one such kernel on the MatMul path — see
-      // simd.h).
+      // dA = G * B^T. dA rows are independent -> partition over i. B is
+      // transposed once, before the split, and each element is a register-
+      // tile lane that reduces exactly like DotF32: ulp-bounded against a
+      // serial dot, not bitwise (the one such kernel on the MatMul path —
+      // see simd.h).
       an->EnsureGrad();
       float* ga = an->grad.data();
       const float* bv = bn->values.data();
-      const bool use_simd = simd::Enabled();
-      const float* bt = use_simd ? TransposeToScratch(bv, k, m) : nullptr;
-      util::ParallelFor(0, n, RowGrain(row_flops),
-                        [g, ga, bv, bt, use_simd, k, m](int64_t ib, int64_t ie) {
-                          if (use_simd) {
-                            simd::MatMulGradARowsF32(g, bv, bt, ga, ib, ie, k, m);
-                            return;
-                          }
-                          for (int64_t i = ib; i < ie; ++i) {
-                            const float* grow = g + static_cast<size_t>(i) * m;
-                            float* garow = ga + static_cast<size_t>(i) * k;
-                            for (int kk = 0; kk < k; ++kk) {
-                              const float* brow = bv + static_cast<size_t>(kk) * m;
-                              float acc = 0.0f;
-                              for (int j = 0; j < m; ++j) acc += grow[j] * brow[j];
-                              garow[kk] += acc;
-                            }
-                          }
-                        });
+      const float* bt = TransposeToScratch(bv, k, m);
+      util::ParallelFor(0, n, RowGrain(row_flops), [g, ga, bv, bt, k, m](int64_t ib, int64_t ie) {
+        simd::MatMulGradARowsF32(g, bv, bt, ga, ib, ie, k, m);
+      });
     }
     if (bn->requires_grad) {
       // dB = A^T * G. Partitioned over dB rows (kk); the i loop stays
@@ -633,20 +525,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       const float* av = an->values.data();
       const int64_t col_flops = int64_t{2} * n * m;
       util::ParallelFor(0, k, RowGrain(col_flops), [g, gb, av, n, k, m](int64_t kb, int64_t ke) {
-        if (simd::Enabled()) {
-          simd::MatMulGradBRowsF32(g, av, gb, kb, ke, n, k, m);
-          return;
-        }
-        for (int i = 0; i < n; ++i) {
-          const float* grow = g + static_cast<size_t>(i) * m;
-          const float* arow = av + static_cast<size_t>(i) * k;
-          for (int64_t kk = kb; kk < ke; ++kk) {
-            const float aik = arow[kk];
-            if (aik == 0.0f) continue;
-            float* gbrow = gb + static_cast<size_t>(kk) * m;
-            for (int j = 0; j < m; ++j) gbrow[j] += aik * grow[j];
-          }
-        }
+        simd::MatMulGradBRowsF32(g, av, gb, kb, ke, n, k, m);
       });
     }
   });
@@ -677,11 +556,7 @@ Tensor Sum(const Tensor& a) {
     float* ga = an->grad.data();
     ElementwiseFor(static_cast<int64_t>(an->grad.size()),
                    [ga, g](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::AddScalarAccF32(g, ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) ga[i] += g;
+                     simd::AddScalarAccF32(g, ga + begin, end - begin);
                    });
   });
   return Tensor::FromNode(out);

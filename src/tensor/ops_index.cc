@@ -21,7 +21,7 @@
 // Column vectors (cols == 1: per-edge and per-flow masks) are the hot case
 // of GatherRows and ScatterAddRows. They load, store or add each element
 // inline instead of calling a row kernel per index: the same single float
-// op, so the same bits on the SIMD and scalar paths alike.
+// op the row kernel's scalar tail issues, so the same bits.
 
 namespace revelio::tensor {
 
@@ -90,7 +90,6 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
     // Scatter into the source grad: partition over destination rows.
     util::ParallelFor(0, an->rows, ScatterGrain(an->rows, n, cols),
                       [g, ga, idx, cols, n](int64_t rb, int64_t re) {
-                        const bool use_simd = simd::Enabled();
                         for (int64_t i = 0; i < n; ++i) {
                           const int dst = idx[i];
                           if (dst < rb || dst >= re) continue;
@@ -98,13 +97,8 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
                             ga[dst] += g[i];
                             continue;
                           }
-                          const size_t dst_base = static_cast<size_t>(dst) * cols;
-                          const size_t src_base = static_cast<size_t>(i) * cols;
-                          if (use_simd) {
-                            simd::AddAccF32(g + src_base, ga + dst_base, cols);
-                            continue;
-                          }
-                          for (int c = 0; c < cols; ++c) ga[dst_base + c] += g[src_base + c];
+                          simd::AddAccF32(g + static_cast<size_t>(i) * cols,
+                                          ga + static_cast<size_t>(dst) * cols, cols);
                         }
                       });
   });
@@ -133,7 +127,6 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int>& indices, int nu
                       [sv, ov, idx, cols, n, num_rows](int64_t rb, int64_t re) {
                         (void)num_rows;
                         std::fill(ov + rb * cols, ov + re * cols, 0.0f);
-                        const bool use_simd = simd::Enabled();
                         for (int64_t i = 0; i < n; ++i) {
                           const int dst = idx[i];
                           DCHECK(dst >= 0 && dst < num_rows)
@@ -143,13 +136,8 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int>& indices, int nu
                             ov[dst] += sv[i];
                             continue;
                           }
-                          const size_t dst_base = static_cast<size_t>(dst) * cols;
-                          const size_t src_base = static_cast<size_t>(i) * cols;
-                          if (use_simd) {
-                            simd::AddAccF32(sv + src_base, ov + dst_base, cols);
-                            continue;
-                          }
-                          for (int c = 0; c < cols; ++c) ov[dst_base + c] += sv[src_base + c];
+                          simd::AddAccF32(sv + static_cast<size_t>(i) * cols,
+                                          ov + static_cast<size_t>(dst) * cols, cols);
                         }
                       });
   };
@@ -169,19 +157,13 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int>& indices, int nu
     // row, so the i loop partitions directly.
     util::ParallelFor(0, static_cast<int64_t>(indices.size()), RowGrain(cols),
                       [g, gs, idx, cols](int64_t ib, int64_t ie) {
-                        const bool use_simd = simd::Enabled();
                         for (int64_t i = ib; i < ie; ++i) {
                           if (cols == 1) {
                             gs[i] += g[idx[i]];
                             continue;
                           }
-                          const size_t src_base = static_cast<size_t>(idx[i]) * cols;
-                          const size_t dst_base = static_cast<size_t>(i) * cols;
-                          if (use_simd) {
-                            simd::AddAccF32(g + src_base, gs + dst_base, cols);
-                            continue;
-                          }
-                          for (int c = 0; c < cols; ++c) gs[dst_base + c] += g[src_base + c];
+                          simd::AddAccF32(g + static_cast<size_t>(idx[i]) * cols,
+                                          gs + static_cast<size_t>(i) * cols, cols);
                         }
                       });
   });
@@ -200,14 +182,9 @@ Tensor RowScale(const Tensor& a, const Tensor& scale) {
   const int rows = a.rows();
   auto run = [av, sv, ov, cols, rows]() {
     util::ParallelFor(0, rows, RowGrain(cols), [av, sv, ov, cols](int64_t rb, int64_t re) {
-      const bool use_simd = simd::Enabled();
       for (int64_t r = rb; r < re; ++r) {
         const size_t base = static_cast<size_t>(r) * cols;
-        if (use_simd) {
-          simd::MulScalarF32(av + base, sv[r], ov + base, cols);
-          continue;
-        }
-        for (int c = 0; c < cols; ++c) ov[base + c] = av[base + c] * sv[r];
+        simd::MulScalarF32(av + base, sv[r], ov + base, cols);
       }
     });
   };
@@ -224,15 +201,9 @@ Tensor RowScale(const Tensor& a, const Tensor& scale) {
       float* ga = an->grad.data();
       const float* sv = sn->values.data();
       util::ParallelFor(0, o->rows, RowGrain(cols), [g, ga, sv, cols](int64_t rb, int64_t re) {
-        const bool use_simd = simd::Enabled();
         for (int64_t r = rb; r < re; ++r) {
           const size_t base = static_cast<size_t>(r) * cols;
-          const float s = sv[r];
-          if (use_simd) {
-            simd::MulAccF32(g + base, s, ga + base, cols);
-            continue;
-          }
-          for (int c = 0; c < cols; ++c) ga[base + c] += g[base + c] * s;
+          simd::MulAccF32(g + base, sv[r], ga + base, cols);
         }
       });
     }
@@ -240,20 +211,13 @@ Tensor RowScale(const Tensor& a, const Tensor& scale) {
       sn->EnsureGrad();
       float* gs = sn->grad.data();
       const float* av = an->values.data();
-      // The SIMD path uses the shared DotF32 reduction — the same kernel
-      // SpmmBackwardW uses, keeping the fused-vs-chain backward identity
-      // bitwise between the two aggregation paths (ulp-bounded vs serial).
+      // The shared DotF32 reduction — the same kernel SpmmBackwardW uses,
+      // keeping the fused-vs-chain backward identity bitwise between the two
+      // aggregation paths (ulp-bounded vs serial).
       util::ParallelFor(0, o->rows, RowGrain(cols), [g, gs, av, cols](int64_t rb, int64_t re) {
-        const bool use_simd = simd::Enabled();
         for (int64_t r = rb; r < re; ++r) {
           const size_t base = static_cast<size_t>(r) * cols;
-          if (use_simd) {
-            gs[r] += simd::DotF32(g + base, av + base, cols);
-            continue;
-          }
-          float acc = 0.0f;
-          for (int c = 0; c < cols; ++c) acc += g[base + c] * av[base + c];
-          gs[r] += acc;
+          gs[r] += simd::DotF32(g + base, av + base, cols);
         }
       });
     }

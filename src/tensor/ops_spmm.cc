@@ -43,6 +43,7 @@ void RecordSpmmMetrics(const CsrPattern& p, int cols) {
   flops->Add(uint64_t{2} * p.nnz() * cols);
   // One feature row gathered per nonzero plus one output row written per row.
   bytes->Add(sizeof(float) * (static_cast<uint64_t>(p.nnz()) + p.num_rows) * cols);
+  simd::CountSweep(static_cast<int64_t>(p.nnz()) * cols);
 }
 
 // out[j, :] = sum_k w[edge_idx[k]] * x[col_idx[k], :] over row j's nonzeros.
@@ -55,7 +56,6 @@ void SpmmForward(const CsrPattern& p, const float* wv, const float* xv, float* o
                       const int* row_ptr = p.row_ptr.data();
                       const int* col_idx = p.col_idx.data();
                       const int* edge_idx = p.edge_idx.data();
-                      const bool use_simd = simd::Enabled();
                       for (int64_t j = rb; j < re; ++j) {
                         float* out_row = ov + static_cast<size_t>(j) * cols;
                         // The pooled output buffer arrives dirty; zeroing the
@@ -63,14 +63,9 @@ void SpmmForward(const CsrPattern& p, const float* wv, const float* xv, float* o
                         // accumulator semantics and first-touch locality.
                         std::fill(out_row, out_row + cols, 0.0f);
                         for (int k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
-                          const size_t xbase = static_cast<size_t>(col_idx[k]) * cols;
                           const float w = wv ? wv[edge_idx[k]] : 1.0f;
-                          if (use_simd) {
-                            simd::AxpyF32(w, xv + xbase, out_row, cols);
-                          } else {
-                            const float* x_row = xv + xbase;
-                            for (int c = 0; c < cols; ++c) out_row[c] += w * x_row[c];
-                          }
+                          simd::AxpyF32(w, xv + static_cast<size_t>(col_idx[k]) * cols, out_row,
+                                        cols);
                         }
                       }
                     });
@@ -83,17 +78,12 @@ void SpmmBackwardX(const CsrPattern& p, const float* wv, const float* g, float* 
   const int* tedge_idx = p.tedge_idx.data();
   util::ParallelFor(0, p.num_cols, SpmmGrain(p.num_cols, p.nnz(), cols),
                     [=](int64_t ib, int64_t ie) {
-                      const bool use_simd = simd::Enabled();
                       for (int64_t i = ib; i < ie; ++i) {
                         float* gx_row = gx + static_cast<size_t>(i) * cols;
                         for (int k = tcol_ptr[i]; k < tcol_ptr[i + 1]; ++k) {
                           const float* g_row = g + static_cast<size_t>(trow_idx[k]) * cols;
                           const float w = wv ? wv[tedge_idx[k]] : 1.0f;
-                          if (use_simd) {
-                            simd::AxpyF32(w, g_row, gx_row, cols);
-                            continue;
-                          }
-                          for (int c = 0; c < cols; ++c) gx_row[c] += w * g_row[c];
+                          simd::AxpyF32(w, g_row, gx_row, cols);
                         }
                       }
                     });
@@ -108,22 +98,15 @@ void SpmmBackwardW(const CsrPattern& p, const float* g, const float* xv, float* 
   const int* edge_idx = p.edge_idx.data();
   util::ParallelFor(0, p.num_rows, SpmmGrain(p.num_rows, p.nnz(), cols),
                     [=](int64_t rb, int64_t re) {
-                      // The SIMD dot is the shared DotF32 reduction (ulp-
-                      // bounded class) — the same kernel RowScale's dscale
-                      // uses, so the fused-vs-chain backward identity stays
-                      // bitwise between the two paths.
-                      const bool use_simd = simd::Enabled();
+                      // The dot is the shared DotF32 reduction (ulp-bounded
+                      // class) — the same kernel RowScale's dscale uses, so
+                      // the fused-vs-chain backward identity stays bitwise
+                      // between the two paths.
                       for (int64_t j = rb; j < re; ++j) {
                         const float* g_row = g + static_cast<size_t>(j) * cols;
                         for (int k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
                           const float* x_row = xv + static_cast<size_t>(col_idx[k]) * cols;
-                          if (use_simd) {
-                            gw[edge_idx[k]] += simd::DotF32(g_row, x_row, cols);
-                            continue;
-                          }
-                          float acc = 0.0f;
-                          for (int c = 0; c < cols; ++c) acc += g_row[c] * x_row[c];
-                          gw[edge_idx[k]] += acc;
+                          gw[edge_idx[k]] += simd::DotF32(g_row, x_row, cols);
                         }
                       }
                     });
@@ -145,9 +128,6 @@ Tensor SpmmCsr(const CsrPatternRef& pattern, const Tensor& x) {
   const float* xv = x.values().data();
   float* ov = out->values.data();
   SpmmForward(*pattern, nullptr, xv, ov, cols);
-  if (simd::Enabled()) {
-    simd::CountSweep(static_cast<int64_t>(pattern->nnz()) * cols);
-  }
   if (rec::Recording()) {
     rec::Record("SpmmCsr", out, {x.node()}, [pattern, xv, ov, cols]() {
       SpmmForward(*pattern, nullptr, xv, ov, cols);
@@ -174,9 +154,6 @@ Tensor SpmmCsrWeighted(const CsrPatternRef& pattern, const Tensor& weights, cons
   const float* xv = x.values().data();
   float* ov = out->values.data();
   SpmmForward(*pattern, wv, xv, ov, cols);
-  if (simd::Enabled()) {
-    simd::CountSweep(static_cast<int64_t>(pattern->nnz()) * cols);
-  }
   if (rec::Recording()) {
     rec::Record("SpmmCsrWeighted", out, {weights.node(), x.node()},
                 [pattern, wv, xv, ov, cols]() {
@@ -221,9 +198,6 @@ Tensor SpmmCsrMean(const CsrPatternRef& pattern, const Tensor& x) {
   const float* xv = x.values().data();
   float* ov = out->values.data();
   SpmmForward(*pattern, degree_weights->data(), xv, ov, cols);
-  if (simd::Enabled()) {
-    simd::CountSweep(static_cast<int64_t>(pattern->nnz()) * cols);
-  }
   if (rec::Recording()) {
     rec::Record("SpmmCsrMean", out, {x.node()}, [pattern, degree_weights, xv, ov, cols]() {
       SpmmForward(*pattern, degree_weights->data(), xv, ov, cols);

@@ -206,12 +206,6 @@ void TensorPool::DiscardUntil(uint64_t target_retained_bytes) {
   }
 }
 
-void TensorPool::ResetStats() {
-  const uint64_t retained = stats_.bytes_retained;
-  stats_ = PoolStats{};
-  stats_.bytes_retained = retained;
-}
-
 std::vector<float> AcquireBuffer(size_t count) {
   if (PoolEnabled()) {
     if (TensorPool* pool = TensorPool::ThreadLocal()) return pool->Acquire(count);

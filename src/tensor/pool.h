@@ -82,7 +82,6 @@ class TensorPool {
   void TrimToHighWater();
 
   const PoolStats& stats() const { return stats_; }
-  void ResetStats();
 
  private:
   void DiscardUntil(uint64_t target_retained_bytes);

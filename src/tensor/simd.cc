@@ -1,8 +1,5 @@
 #include "tensor/simd.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -70,7 +67,7 @@ struct VecF32 {
   }
 };
 
-#else  // scalar fallback build
+#else  // scalar build: one lane, the serial loop each kernel's tail runs
 
 struct VecF32 {
   static constexpr int kWidth = 1;
@@ -92,19 +89,6 @@ struct VecF32 {
 #endif
 
 constexpr int kW = VecF32::kWidth;
-
-bool SimdDefault() {
-  if (kW == 1) return false;  // no vector tier compiled in
-  const char* env = std::getenv("REVELIO_SIMD");
-  if (env == nullptr) return true;
-  const std::string value(env);
-  return !(value == "0" || value == "false" || value == "off");
-}
-
-std::atomic<bool>& SimdFlag() {
-  static std::atomic<bool> flag(SimdDefault());
-  return flag;
-}
 
 }  // namespace
 
@@ -130,13 +114,9 @@ bool CpuSupportsCompiledIsa() {
 #endif
 }
 
-bool Enabled() { return SimdFlag().load(std::memory_order_relaxed); }
-
-void SetEnabled(bool enabled) {
-  SimdFlag().store(kW == 1 ? false : enabled, std::memory_order_relaxed);
-}
-
 void CountSweep(int64_t n) {
+  // A one-lane build issues no vector work, so it reports none.
+  if constexpr (kW == 1) return;
   static obs::Gauge* lanes = [] {
     obs::Gauge* g = obs::MetricsRegistry::Global().GetGauge("tensor.simd.lanes");
     g->Set(static_cast<double>(kW));

@@ -1,25 +1,22 @@
 #ifndef REVELIO_TENSOR_SIMD_H_
 #define REVELIO_TENSOR_SIMD_H_
 
-// Width-agnostic SIMD kernel tier for the hot float loops.
+// Width-agnostic SIMD kernels: the one body of every hot float loop.
 //
-// The instruction set is selected at COMPILE time — exactly one of AVX2
-// (8 lanes), NEON (4 lanes) or the scalar fallback (1 lane) is baked into
-// simd.cc, which is the only translation unit built with vector ISA flags
-// (see src/tensor/CMakeLists.txt). Every other TU sees only the plain
-// function declarations below, so the rest of the tree keeps the default
-// target arch and the scalar reference loops stay un-widened.
+// The instruction set is selected at BUILD time only (REVELIO_SIMD_ISA):
+// exactly one of AVX2 (8 lanes), NEON (4 lanes) or scalar (1 lane) is baked
+// into simd.cc, which is the only translation unit built with vector ISA
+// flags (see src/tensor/CMakeLists.txt). Every other TU sees only the plain
+// function declarations below and keeps the default target arch. There is
+// no runtime switch: kernel call sites in ops.cc / ops_index.cc /
+// ops_spmm.cc / op_helpers.cc call these functions unconditionally, plan
+// replay re-runs the same chunk bodies, and on a scalar build the one-lane
+// VecF32 is the path that runs.
 //
-// At RUNTIME the tier can be disabled with REVELIO_SIMD=0 (or SetEnabled):
-// kernel call sites in ops.cc / ops_index.cc / ops_spmm.cc check Enabled()
-// inside their chunk lambdas and fall back to the original scalar loops.
-// Because the check lives inside the chunk, recorded plan tapes (PR 9)
-// honor the toggle on replay too, and fused elementwise chains vectorize
-// through the very same kernels.
-//
-// Equivalence contract (proven by tests/prop/simd_equivalence_test.cc):
+// Equivalence contract (proven by tests/prop/simd_equivalence_test.cc
+// against the serial scalar reference kernels in tests/prop/prop_util):
 //  - Elementwise kernels, axpy-style accumulations and the matmul/spmm
-//    forward kernels are BITWISE-equal to the scalar loops: they issue the
+//    forward kernels are BITWISE-equal to the serial loops: they issue the
 //    same mul-then-add per element in the same order (no FMA contraction —
 //    simd.cc is never built with -mfma), and the scalar tail runs the
 //    identical expression. Branchy updates (Relu backward) use blends that
@@ -28,7 +25,8 @@
 //    it keeps kLanes fixed partial sums and reduces them in a fixed
 //    left-to-right order. The result is deterministic at every thread
 //    count, but only ulp-bounded against the serial accumulation order —
-//    the "ulp-bounded" tolerance class of util::proptest. Both dot call
+//    the "ulp-bounded" tolerance class of util::proptest (bitwise on a
+//    one-lane build, where the partials are the serial sum). Both dot call
 //    sites share this one implementation, so identities that compare them
 //    against each other (fused SpMM vs the legacy chain) stay bitwise.
 //  - MatMul dA is in the DotF32 class too, computed as lane-partial register
@@ -47,8 +45,9 @@
 //
 // Observability: call sites report sweep shapes via CountSweep, which feeds
 // the tensor.simd.{lanes,vector_ops,scalar_tail} counters (vector bodies
-// issued and tail elements processed). Counting happens at op granularity,
-// outside recorded closures, so plan replay does not re-count.
+// issued and tail elements processed; nothing on a one-lane build). Counting
+// happens at op granularity, outside recorded closures, so plan replay does
+// not re-count.
 
 #include <cstdint>
 
@@ -66,14 +65,9 @@ const char* IsaName();
 // The revelio_simd_selftest ctest fails fast when this is false.
 bool CpuSupportsCompiledIsa();
 
-// Runtime toggle. Defaults to true when the compiled width is > 1 unless
-// REVELIO_SIMD=0/false/off is set in the environment.
-bool Enabled();
-void SetEnabled(bool enabled);
-
 // Adds n / Lanes() to tensor.simd.vector_ops and n % Lanes() to
-// tensor.simd.scalar_tail (and pins tensor.simd.lanes). No-op counters when
-// the tier is disabled; call once per op-level sweep of n elements.
+// tensor.simd.scalar_tail (and pins tensor.simd.lanes). A no-op when
+// Lanes() == 1; call once per op-level sweep of n elements.
 void CountSweep(int64_t n);
 
 // --- Elementwise kernels over [0, n) — bitwise class ------------------------
@@ -109,16 +103,16 @@ void TanhGradAccF32(const float* g, const float* ov, float* ga, int64_t n);
 float DotF32(const float* a, const float* b, int64_t n);
 
 // --- Row-blocked matmul kernels --------------------------------------------
-// All operate on rows [ib, ie) of the output and preserve the scalar loop's
+// All operate on rows [ib, ie) of the output and preserve the serial loop's
 // per-element accumulation order (bitwise class unless noted). Layouts:
 // a is n x k, b is k x m, o is n x m, all row-major.
 
 // o[i,:] = sum_kk a[i,kk] * b[kk,:], zero-filling each row first and
-// skipping a[i,kk] == 0 like the scalar kernel.
+// skipping a[i,kk] == 0 like the serial reference.
 void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
                    int m);
 // ga[i,kk] += <g[i,:], b[kk,:]>, each element bitwise-equal to DotF32 (so
-// ulp-bounded against the scalar loop). bt is b transposed (m x k, built once
+// ulp-bounded against a serial dot). bt is b transposed (m x k, built once
 // per backward call): full Lanes()-wide column tiles read it, the k %
 // Lanes() leftover columns call DotF32 on rows of b.
 void MatMulGradARowsF32(const float* g, const float* b, const float* bt, float* ga, int64_t ib,

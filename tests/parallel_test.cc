@@ -13,7 +13,6 @@
 #include "gnn/trainer.h"
 #include "graph/graph.h"
 #include "tensor/ops.h"
-#include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -197,7 +196,6 @@ TEST_F(ParallelTest, OddShapesStayBitwiseAcrossThreadsWithSimd) {
   // boundaries land mid-vector on shapes that are not multiples of the lane
   // width, shifting iterations between one chunk's vector body and another's
   // scalar tail. Those must compute identical bits at every thread count.
-  tensor::simd::SetEnabled(true);
   struct Shape {
     int rows, cols;
   };
@@ -222,7 +220,6 @@ TEST_F(ParallelTest, OddShapesStayBitwiseAcrossThreadsWithSimd) {
           << s.rows << "x" << s.cols << " at " << threads << " threads";
     }
   }
-  tensor::simd::SetEnabled(tensor::simd::Lanes() > 1);
 }
 
 TEST_F(ParallelTest, GcnTrainingStepBitwiseIdentical) {

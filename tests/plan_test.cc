@@ -33,14 +33,12 @@ class PlanTest : public ::testing::Test {
     obs::SetEnabled(true);
     util::SetNumThreads(1);
     tensor::SetPoolEnabled(true);
-    plan::SetPlanFuseEnabled(true);
   }
   void TearDown() override {
     obs::SetEnabled(false);
     util::SetNumThreads(1);
     tensor::SetPoolEnabled(true);
     plan::SetExecPlanEnabled(true);
-    plan::SetPlanFuseEnabled(true);
   }
 };
 
@@ -77,24 +75,6 @@ TEST_F(PlanTest, RecordScopeCapturesOpsAndSealCompiles) {
   EXPECT_TRUE(plan->steps()[0].fused);
   EXPECT_EQ(plan->steps()[0].op_indices.size(), 3u);
   EXPECT_EQ(plan->fused_ops(), 3);
-}
-
-TEST_F(PlanTest, FusionDisabledKeepsOpsAsSingletonSteps) {
-  plan::SetPlanFuseEnabled(false);
-  util::Rng rng(2);
-  Tensor x = Tensor::Uniform(4, 3, -1.0f, 1.0f, &rng).WithRequiresGrad();
-  plan::PlanSession session;
-  Tensor loss;
-  {
-    plan::PlanSession::RecordScope record(&session);
-    loss = BuildChain(x);
-  }
-  loss.Backward();
-  session.Seal(loss, plan::PlanKey{{7}});
-  ASSERT_TRUE(session.sealed());
-  EXPECT_EQ(session.plan()->steps().size(), 4u);
-  EXPECT_EQ(session.plan()->fused_ops(), 0);
-  for (const plan::PlanStep& step : session.plan()->steps()) EXPECT_FALSE(step.fused);
 }
 
 TEST_F(PlanTest, ReplayRecomputesValuesAndGradsInPlace) {
@@ -216,10 +196,6 @@ TEST_F(PlanTest, EnvTogglesRoundTrip) {
   EXPECT_FALSE(plan::ExecPlanEnabled());
   plan::SetExecPlanEnabled(true);
   EXPECT_TRUE(plan::ExecPlanEnabled());
-  plan::SetPlanFuseEnabled(false);
-  EXPECT_FALSE(plan::PlanFuseEnabled());
-  plan::SetPlanFuseEnabled(true);
-  EXPECT_TRUE(plan::PlanFuseEnabled());
 }
 
 }  // namespace

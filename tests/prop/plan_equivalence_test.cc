@@ -1,11 +1,11 @@
-// Recorded execution plans (src/plan/): replaying a recorded epoch must be
-// BITWISE-equal to re-running it eagerly — across thread counts, pool on/off,
-// groups of one and larger mega-batched groups, and fusion on/off. The
-// differential harness trains full mini-GNN explanations both ways and
-// compares every score; the validity suite checks the structural properties
-// every compiled plan must satisfy (topological step order, key/shape
-// changes forcing a re-record) over randomly generated tensor programs via
-// util::proptest.
+// Recorded execution plans (src/plan/): replaying a recorded epoch, with its
+// elementwise runs fused, must be BITWISE-equal to re-running it eagerly —
+// across thread counts, pool on/off, and groups of one and larger
+// mega-batched groups. The differential harness trains full mini-GNN
+// explanations both ways and compares every score; the validity suite checks
+// the structural properties every compiled plan must satisfy (topological
+// step order, key/shape changes forcing a re-record) over randomly generated
+// tensor programs via util::proptest.
 
 #include <algorithm>
 #include <cstdint>
@@ -128,7 +128,6 @@ class PlanEquivalenceTest : public ::testing::Test {
     util::SetNumThreads(1);
     tensor::SetPoolEnabled(true);
     plan::SetExecPlanEnabled(true);
-    plan::SetPlanFuseEnabled(true);
   }
 };
 
@@ -233,9 +232,9 @@ TEST_F(PlanEquivalenceTest, GnnExplainerReplayEqualsEagerAcrossThreadsPoolAndBat
   EXPECT_GT(ReplayCount(), replays_before) << "plan path never replayed";
 }
 
-// Fusion is bitwise-neutral: replays with REVELIO_PLAN_FUSE on and off both
-// equal the eager loop (counterfactual objective for variety).
-TEST_F(PlanEquivalenceTest, FusionOnOffBothEqualEager) {
+// Fusion is bitwise-neutral: a replay that fuses elementwise runs equals the
+// eager loop (counterfactual objective for variety).
+TEST_F(PlanEquivalenceTest, FusedReplayEqualsEager) {
   util::SetNumThreads(1);
   tensor::SetPoolEnabled(true);
   gnn::GnnModel model(ModelConfig());
@@ -249,12 +248,13 @@ TEST_F(PlanEquivalenceTest, FusionOnOffBothEqualEager) {
       explainer.ExplainFlows(task, explain::Objective::kCounterfactual);
 
   plan::SetExecPlanEnabled(true);
-  for (const bool fuse : {true, false}) {
-    plan::SetPlanFuseEnabled(fuse);
-    ExpectFlowExplanationsBitwiseEqual(
-        reference, explainer.ExplainFlows(task, explain::Objective::kCounterfactual),
-        std::string("fuse=") + (fuse ? "on" : "off"));
-  }
+  obs::Counter* fused_ops = obs::MetricsRegistry::Global().GetCounter("plan.fused_ops");
+  const uint64_t fused_before = fused_ops->Total();
+  const uint64_t replays_before = ReplayCount();
+  ExpectFlowExplanationsBitwiseEqual(
+      reference, explainer.ExplainFlows(task, explain::Objective::kCounterfactual), "fused");
+  EXPECT_GT(ReplayCount(), replays_before) << "plan path never replayed";
+  EXPECT_GT(fused_ops->Total(), fused_before) << "no plan fused an elementwise run";
 }
 
 // Property with shrinking over random graph families: GNNExplainer with

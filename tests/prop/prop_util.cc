@@ -1,5 +1,6 @@
 #include "prop/prop_util.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
@@ -570,6 +571,119 @@ Tensor ReferenceUsedEdgeMean(const flow::FlowSet& flows, const std::vector<Tenso
 }
 
 }  // namespace
+
+namespace scalar_ref {
+
+void AddF32(const float* a, const float* b, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = a[i] + b[i];
+}
+
+void SubF32(const float* a, const float* b, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = a[i] - b[i];
+}
+
+void MulF32(const float* a, const float* b, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = a[i] * b[i];
+}
+
+void AddScalarF32(const float* a, float s, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = a[i] + s;
+}
+
+void MulScalarF32(const float* a, float s, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = a[i] * s;
+}
+
+void AddAccF32(const float* a, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] += a[i];
+}
+
+void AddScalarAccF32(float s, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] += s;
+}
+
+void MulAccF32(const float* a, float s, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] += s * a[i];
+}
+
+void MulPairAccF32(const float* a, const float* b, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] += a[i] * b[i];
+}
+
+void AxpyF32(float a, const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
+void ReluF32(const float* a, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > 0.0f ? a[i] : 0.0f;
+}
+
+void ReluGradAccF32(const float* g, const float* a, float* ga, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    if (a[i] > 0.0f) ga[i] += g[i];
+  }
+}
+
+void LeakyReluF32(const float* a, float slope, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > 0.0f ? a[i] : slope * a[i];
+}
+
+void LeakyReluGradAccF32(const float* g, const float* a, float slope, float* ga, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (a[i] > 0.0f ? 1.0f : slope);
+}
+
+void SigmoidGradAccF32(const float* g, const float* ov, float* ga, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * ov[i] * (1.0f - ov[i]);
+}
+
+void TanhGradAccF32(const float* g, const float* ov, float* ga, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (1.0f - ov[i] * ov[i]);
+}
+
+float DotF32(const float* a, const float* b, int64_t n) {
+  float acc = 0.0f;
+  for (int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
+  return acc;
+}
+
+void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
+                   int m) {
+  for (int64_t i = ib; i < ie; ++i) {
+    float* orow = o + static_cast<size_t>(i) * m;
+    std::fill(orow, orow + m, 0.0f);
+    for (int kk = 0; kk < k; ++kk) {
+      const float aik = a[static_cast<size_t>(i) * k + kk];
+      if (aik == 0.0f) continue;
+      const float* brow = b + static_cast<size_t>(kk) * m;
+      for (int j = 0; j < m; ++j) orow[j] += aik * brow[j];
+    }
+  }
+}
+
+void MatMulGradARowsF32(const float* g, const float* b, float* ga, int64_t ib, int64_t ie, int k,
+                        int m) {
+  for (int64_t i = ib; i < ie; ++i) {
+    const float* grow = g + static_cast<size_t>(i) * m;
+    float* garow = ga + static_cast<size_t>(i) * k;
+    for (int kk = 0; kk < k; ++kk) garow[kk] += DotF32(grow, b + static_cast<size_t>(kk) * m, m);
+  }
+}
+
+void MatMulGradBRowsF32(const float* g, const float* a, float* gb, int64_t kb, int64_t ke, int n,
+                        int k, int m) {
+  for (int i = 0; i < n; ++i) {
+    const float* grow = g + static_cast<size_t>(i) * m;
+    const float* arow = a + static_cast<size_t>(i) * k;
+    for (int64_t kk = kb; kk < ke; ++kk) {
+      const float aik = arow[kk];
+      if (aik == 0.0f) continue;
+      float* gbrow = gb + static_cast<size_t>(kk) * m;
+      for (int j = 0; j < m; ++j) gbrow[j] += aik * grow[j];
+    }
+  }
+}
+
+}  // namespace scalar_ref
 
 void ReferenceMatMulGradARows(const float* g, const float* b, float* ga, int n, int k, int m) {
   for (int i = 0; i < n; ++i) {

@@ -8,6 +8,8 @@
 //  - an op-harness registry with one or more (shape, inputs, forward) cases
 //    per registered tensor op, reused by the gradcheck and the
 //    parallel-vs-serial differential suites,
+//  - one serial scalar reference per tensor/simd.h kernel, which the simd
+//    equivalence suite diffs the kernels against,
 //  - the chain-aggregation layer forward the spmm equivalence suite diffs
 //    the fused layers against,
 //  - the reference mask learners the mask-driver equivalence suites diff
@@ -248,6 +250,42 @@ double OpCaseMaxGradError(const OpCase& c, uint64_t value_seed, std::string* det
 // ---------------------------------------------------------------------------
 // Kernel references
 // ---------------------------------------------------------------------------
+
+// One plain serial scalar loop per kernel in tensor/simd.h, same signature
+// and per-element expression: the loops the tensor ops ran before the simd
+// kernels became their only body. simd_equivalence_test diffs each kernel
+// against its reference under the kernel's declared tolerance class, and
+// `bench_micro_kernels --simd-sweep` times the kernels against them.
+namespace scalar_ref {
+
+void AddF32(const float* a, const float* b, float* o, int64_t n);
+void SubF32(const float* a, const float* b, float* o, int64_t n);
+void MulF32(const float* a, const float* b, float* o, int64_t n);
+void AddScalarF32(const float* a, float s, float* o, int64_t n);
+void MulScalarF32(const float* a, float s, float* o, int64_t n);
+void AddAccF32(const float* a, float* o, int64_t n);
+void AddScalarAccF32(float s, float* o, int64_t n);
+void MulAccF32(const float* a, float s, float* o, int64_t n);
+void MulPairAccF32(const float* a, const float* b, float* o, int64_t n);
+void AxpyF32(float a, const float* x, float* y, int64_t n);
+void ReluF32(const float* a, float* o, int64_t n);
+void ReluGradAccF32(const float* g, const float* a, float* ga, int64_t n);
+void LeakyReluF32(const float* a, float slope, float* o, int64_t n);
+void LeakyReluGradAccF32(const float* g, const float* a, float slope, float* ga, int64_t n);
+void SigmoidGradAccF32(const float* g, const float* ov, float* ga, int64_t n);
+void TanhGradAccF32(const float* g, const float* ov, float* ga, int64_t n);
+// Serial left-to-right order: simd::DotF32 is ulp-bounded against it
+// (bitwise on a one-lane build).
+float DotF32(const float* a, const float* b, int64_t n);
+void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
+                   int m);
+// A serial dot per element, so ulp-bounded like DotF32. No transposed copy.
+void MatMulGradARowsF32(const float* g, const float* b, float* ga, int64_t ib, int64_t ie, int k,
+                        int m);
+void MatMulGradBRowsF32(const float* g, const float* a, float* gb, int64_t kb, int64_t ke, int n,
+                        int k, int m);
+
+}  // namespace scalar_ref
 
 // The per-element SIMD MatMul dA loop that simd::MatMulGradARowsF32's
 // register tiles replaced: ga[i, kk] += simd::DotF32(g[i, :], b[kk, :], m)
